@@ -1,7 +1,8 @@
 """Command-line front end: analysis, closed-form tables, and simulation runs.
 
 Exit codes: 0 on success, 2 when arguments or inputs fail validation, 1 on
-unexpected runtime errors. All stochastic subcommands are pinned by --seed.
+unexpected runtime errors or a simulation that ended early (a stalled tree
+run). All stochastic subcommands are pinned by --seed.
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ def _sim_config(args, seed: int) -> SimConfig:
 
 
 def cmd_simulate(args, out) -> int:
+    code = 0
     for i in range(args.runs):
         seed = args.seed + i
         report = simulate(_sim_config(args, seed))
@@ -242,7 +244,17 @@ def cmd_simulate(args, out) -> int:
             f"confirmed={report.txs_confirmed} violations={report.conservation_violations} "
             f"-> {path}\n"
         )
-    return 0
+        stalled = report.tree["stalled"] if report.tree else None
+        if stalled:
+            level, shard = stalled["shard"]
+            print(
+                f"hbsim: seed {seed}: tree run stalled at round {stalled['round']}: shard "
+                f"({level},{shard}) has no miner; the report covers {report.sim_end_time:.0f}s "
+                f"of {args.periods * args.target:.0f}s",
+                file=sys.stderr,
+            )
+            code = 1
+    return code
 
 
 def cmd_gen(args, out) -> int:

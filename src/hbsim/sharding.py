@@ -2,9 +2,12 @@
 
 Miners, nodes and transactions are mapped onto the binary block tree by
 walking the leading bits of a sha256 digest of their identifier, most
-significant bit of byte 0 first, a zero bit selecting the left child. All
-closed-form capacity,
-storage and routing curves for minimal full nodes (MFNs) live here too.
+significant bit of byte 0 first, a zero bit selecting the left child. The
+shard index at a level is therefore the digest's leading ``level`` bits read
+as an integer; ``shard_index`` computes it directly, while ``shard_path``
+walks the bits one by one and returns the full branch. All closed-form
+capacity, storage and routing curves for minimal full nodes (MFNs) live here
+too.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import ExtendedTransaction
 
@@ -58,11 +61,21 @@ class GlobalNonce:
     intermediates: Mapping[tuple[int, int], bytes]
 
 
-def _digest(identifier: bytes, nonce: bytes | GlobalNonce | None) -> bytes:
+def _nonce_bytes(nonce: bytes | GlobalNonce | None) -> bytes:
     if nonce is None:
-        return hashlib.sha256(identifier).digest()
-    nonce_bytes = nonce.value if isinstance(nonce, GlobalNonce) else nonce
-    return hashlib.sha256(identifier + nonce_bytes).digest()
+        return b""
+    return nonce.value if isinstance(nonce, GlobalNonce) else nonce
+
+
+def _digest(identifier: bytes, nonce: bytes | GlobalNonce | None) -> bytes:
+    return hashlib.sha256(identifier + _nonce_bytes(nonce)).digest()
+
+
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    if level >= 256:
+        raise ValueError("level must be < 256: the 256-bit digest is exhausted")
 
 
 def shard_path(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None = None) -> ShardCoord:
@@ -71,10 +84,7 @@ def shard_path(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None 
     With a nonce the digest covers identifier || nonce, so reassignments can
     be re-randomized every period.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if level >= 256:
-        raise ValueError("level must be < 256: the 256-bit digest is exhausted")
+    _check_level(level)
     digest = _digest(identifier, nonce)
     branch = [0]
     shard = 0
@@ -85,10 +95,28 @@ def shard_path(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None 
     return ShardCoord(level=level, index=shard, branch=tuple(branch))
 
 
-def tx_shard(
-    level: int, tx: ExtendedTransaction, nonce: bytes | GlobalNonce | None = None
-) -> ShardCoord:
-    """Shard of a transaction: the bit-walk applied to its single input reference."""
+def shard_path_coord(level: int, shard: int) -> ShardCoord:
+    """Reconstruct the unique root-to-shard branch of a coordinate."""
+    branch = [shard]
+    s = shard
+    for _ in range(level):
+        s //= 2
+        branch.append(s)
+    branch.reverse()
+    return ShardCoord(level=level, index=shard, branch=tuple(branch))
+
+
+def shard_index(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None = None) -> int:
+    """The shard index ``shard_path(level, identifier, nonce).index``, without the branch.
+
+    The index is the digest's leading ``level`` bits as a big-endian integer.
+    The index at any shallower level l is ``shard_index(level, ...) >> (level - l)``.
+    """
+    _check_level(level)
+    return int.from_bytes(_digest(identifier, nonce), "big") >> (256 - level)
+
+
+def _check_tx(level: int, tx: ExtendedTransaction) -> None:
     if tx.input_ref is None:
         raise ValueError(f"transaction {tx.id.hex()} has no input reference to shard on")
     if tx.extra_input_refs and level > 0:
@@ -96,7 +124,44 @@ def tx_shard(
             f"{E_MULTI_INPUT_SHARDED}: transaction {tx.id.hex()} has {tx.n_inputs} inputs "
             f"and can only be placed at level 0, not level {level}"
         )
+
+
+def tx_shard(
+    level: int, tx: ExtendedTransaction, nonce: bytes | GlobalNonce | None = None
+) -> ShardCoord:
+    """Shard of a transaction: the bit-walk applied to its single input reference."""
+    _check_tx(level, tx)
     return shard_path(level, tx.input_ref, nonce)
+
+
+def tx_shard_index(
+    level: int, tx: ExtendedTransaction, nonce: bytes | GlobalNonce | None = None
+) -> int:
+    """``tx_shard(level, tx, nonce).index``, with the same checks and errors."""
+    _check_tx(level, tx)
+    return shard_index(level, tx.input_ref, nonce)
+
+
+def tx_shard_indices(
+    level: int, txs: Iterable[ExtendedTransaction], nonce: bytes | GlobalNonce | None = None
+) -> list[int]:
+    """``[tx_shard_index(level, tx, nonce) for tx in txs]`` in one pass.
+
+    The first transaction that fails a check raises, as the per-transaction
+    form would.
+    """
+    _check_level(level)
+    suffix = _nonce_bytes(nonce)
+    shift = 256 - level
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    indices = []
+    for tx in txs:
+        ref = tx.input_ref
+        if ref is None or (level and tx.extra_input_refs):
+            _check_tx(level, tx)  # raises with the per-transaction message
+        indices.append(from_bytes(sha256(ref + suffix).digest(), "big") >> shift)
+    return indices
 
 
 def fold_global_nonce(

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..core import ExtendedTransaction
-from ..sharding import E_MULTI_INPUT_SHARDED, ShardCoord, tx_shard
+from ..sharding import E_MULTI_INPUT_SHARDED, ShardCoord, tx_shard_index
 
 E_DOUBLE_SPEND = "E_DOUBLE_SPEND"
 E_SHARD_MISMATCH = "E_SHARD_MISMATCH"
@@ -277,11 +277,11 @@ def validate_block(
                 E_DOUBLE_SPEND, f"transaction {tx.id.hex()} spends more than its inputs hold"
             )
         if check_shard:
-            coord = tx_shard(block.coord.level, tx, nonce)
-            if coord.index != block.coord.index:
+            index = tx_shard_index(block.coord.level, tx, nonce)
+            if index != block.coord.index:
                 return _reject(
                     E_SHARD_MISMATCH,
-                    f"transaction {tx.id.hex()} maps to shard {coord.index} "
+                    f"transaction {tx.id.hex()} maps to shard {index} "
                     f"but the block is at shard {block.coord.index}",
                 )
     if expected_carried is not None:

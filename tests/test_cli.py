@@ -129,6 +129,23 @@ class TestValidation:
         payload = json.loads((tmp_path / "t.json").read_text())
         assert payload["tree"]["stalled"] is None
 
+    def test_stalled_tree_run_exits_1_with_report(self, tmp_path, capsys):
+        """Ten miners over four leaf shards leave one leaf without hashrate
+        at round 11; the report is still written, the run fails loudly."""
+        code, text = invoke(
+            ["simulate", "--mode", "tree", "--levels", "3", "--seed", "1", "--periods", "30",
+             "--miners", "10", "--out-dir", str(tmp_path), "--out", "s.json"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "-> " in text
+        payload = json.loads((tmp_path / "s.json").read_text())
+        stalled = payload["tree"]["stalled"]
+        assert stalled == {"round": 11, "shard": [2, 0]}
+        assert payload["tree"]["rounds"] == 11
+        assert "stalled at round 11: shard (2,0) has no miner" in err
+        assert f"covers {payload['sim_end_time']:.0f}s of 18000s" in err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBSIM_OUT_DIR", str(tmp_path / "envout"))
         code, _ = invoke(["gen", "--seed", "1", "--duration", "60", "--out", "x.csv"])

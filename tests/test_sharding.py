@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hbsim.sharding import (
     GlobalNonce,
@@ -17,9 +18,13 @@ from hbsim.sharding import (
     rate_to_mb_per_day,
     required_peers,
     routing_miss_probability,
+    shard_index,
     shard_path,
+    shard_path_coord,
     tree_throughput,
     tx_shard,
+    tx_shard_index,
+    tx_shard_indices,
 )
 from conftest import make_tx
 
@@ -146,6 +151,91 @@ class TestTxShard:
             if oracle_branch(found[0], i) != oracle_branch(found[1], i)
         )
         assert tx_shard(diverge, tx_a).index != tx_shard(diverge, tx_b).index
+
+
+LEVELS = st.integers(min_value=0, max_value=255)
+NONCES = st.one_of(
+    st.none(),
+    st.binary(max_size=40),
+    st.binary(min_size=32, max_size=32).map(lambda v: GlobalNonce(value=v, intermediates={})),
+)
+REFS = st.binary(min_size=1, max_size=40)
+
+
+@st.composite
+def transactions(draw):
+    """Single-input, missing-input and multi-input transactions."""
+    input_ref = draw(st.one_of(st.none(), REFS))
+    extra = tuple(draw(st.lists(REFS, max_size=2))) if input_ref is not None else ()
+    return make_tx(10, 10, input_ref=input_ref, extra_input_refs=extra)
+
+
+def outcome(fn):
+    """The value ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestShardIndex:
+    """``shard_index`` and its transaction forms against the bit-walk oracle."""
+
+    @given(LEVELS, st.binary(max_size=64), NONCES)
+    def test_equals_shard_path_index(self, level, identifier, nonce):
+        index = shard_index(level, identifier, nonce)
+        coord = shard_path(level, identifier, nonce)
+        assert index == coord.index
+        # the shallower shards are prefixes of the index, as the tree re-shard uses them
+        assert all(index >> (level - l) == coord.branch[l] for l in range(level + 1))
+
+    @given(LEVELS, transactions(), NONCES)
+    def test_tx_form_equals_tx_shard(self, level, tx, nonce):
+        assert outcome(lambda: tx_shard_index(level, tx, nonce)) == outcome(
+            lambda: tx_shard(level, tx, nonce).index
+        )
+
+    @given(LEVELS, st.lists(transactions(), max_size=8), NONCES)
+    def test_batch_equals_per_transaction(self, level, txs, nonce):
+        def one_by_one():
+            return [tx_shard_index(level, tx, nonce) for tx in txs]
+
+        assert outcome(lambda: tx_shard_indices(level, txs, nonce)) == outcome(one_by_one)
+        assert outcome(lambda: tx_shard_indices(level, iter(txs), nonce)) == outcome(one_by_one)
+
+    def test_checks_still_raise(self):
+        single = make_tx(10, 10, input_ref=b"\x01" * 32)
+        multi = make_tx(
+            10, 10, input_ref=b"\x01" * 32, extra_input_refs=(b"\x02" * 32,), requested_level=0
+        )
+        missing = make_tx(10, 10)
+        assert tx_shard_index(0, multi) == tx_shard_indices(0, [multi])[0] == 0
+        for level in (1, 7, 255):
+            with pytest.raises(MultiInputShardedError, match="E_MULTI_INPUT_SHARDED"):
+                tx_shard_index(level, multi)
+            with pytest.raises(MultiInputShardedError, match="E_MULTI_INPUT_SHARDED"):
+                tx_shard_indices(level, [single, multi])
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="input reference"):
+                tx_shard_index(level, missing)
+            with pytest.raises(ValueError, match="input reference"):
+                tx_shard_indices(level, [single, missing])
+
+    @pytest.mark.parametrize("level", [-1, 256])
+    def test_level_bounds(self, level):
+        tx = make_tx(10, 10, input_ref=b"\x01" * 32)
+        with pytest.raises(ValueError, match="level must be"):
+            shard_index(level, b"id")
+        with pytest.raises(ValueError, match="level must be"):
+            tx_shard_index(level, tx)
+        with pytest.raises(ValueError, match="level must be"):
+            tx_shard_indices(level, [tx])
+
+    def test_shard_path_coord_round_trips(self, rng):
+        for level in range(0, 12):
+            identifier = rng.getrandbits(256).to_bytes(32, "big")
+            coord = shard_path(level, identifier)
+            assert shard_path_coord(level, coord.index) == coord
 
 
 def full_tree_randomness(rng, num_levels):

@@ -8,7 +8,7 @@ from hbsim.dataio import WorkloadSpec
 from hbsim.economics import homotopy_lambda
 from hbsim.segmentation import LevelStats, LevelSummary
 from hbsim.economics import compute_c_eta_flat
-from hbsim.simulator import SimConfig, equal_miners, simulate
+from hbsim.simulator import SimConfig, SubBlock, equal_miners, simulate
 
 WORKLOAD = WorkloadSpec(rate=0.2, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode="fixed", size_params=(400,))
 
@@ -293,6 +293,28 @@ class TestConcurrentRun:
         assert audit["orphans"] == 0
         assert audit["multi_referenced"] == 0
         assert audit["blocks"] > 0
+
+    def test_repeated_child_reference_is_counted(self, monkeypatch):
+        """With one digest per chain, every level-1 block after a chain's first
+        re-references the same digest; the audit counts each repeat."""
+        monkeypatch.setattr(
+            SubBlock, "digest", lambda self: bytes([self.coord.level, self.coord.index]) * 16
+        )
+        cfg = SimConfig(
+            mode="concurrent",
+            num_levels=2,
+            duration=600.0 * 10,
+            seed=29,
+            workload=WORKLOAD,
+            retarget_window=16,
+            chain_target_times=(450.0, 150.0),
+        )
+        report = simulate(cfg)
+        per_chain = report.concurrent["per_chain"]
+        # level-1 chains are never swept, and the sweep references every block they mined
+        level1_blocks = per_chain["1,0"]["blocks"] + per_chain["1,1"]["blocks"]
+        assert level1_blocks > 2
+        assert report.concurrent["audit"]["multi_referenced"] == level1_blocks - 2
 
     def test_conservation(self, concurrent_report):
         assert concurrent_report.conservation_violations == 0

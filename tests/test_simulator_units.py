@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -249,20 +250,24 @@ class TestValidateBlock:
         assert "more than" in result.detail
 
     def test_cross_shard_double_spend_one_accept(self, rng):
-        """The same input offered to both sibling shards: only the true shard accepts."""
+        """The same input offered to other shards: only the true shard accepts,
+        at every sharded level, with and without a global nonce."""
         state = ChainState()
         tx, fee = spendable_tx(state, rng=rng)
-        level = 2
-        true_idx = shard_path(level, tx.input_ref).index
-        wrong_idx = true_idx ^ 1
-        ok = validate_block(
-            block_at(shard_path_coord(level, true_idx), [tx], [fee]), state
-        )
-        bad = validate_block(
-            block_at(shard_path_coord(level, wrong_idx), [tx], [fee]), state
-        )
-        assert ok.accepted
-        assert not bad.accepted and bad.code == E_SHARD_MISMATCH
+        for nonce, level in itertools.product((None, b"\x5a" * 32), range(1, 10)):
+            true_idx = shard_path(level, tx.input_ref, nonce).index
+            ok = validate_block(
+                block_at(shard_path_coord(level, true_idx), [tx], [fee]), state, nonce=nonce
+            )
+            assert ok.accepted, level
+            # the sibling, the far half of the level, and the mirrored shard
+            wrong = {true_idx ^ 1, true_idx ^ (1 << (level - 1)), 2**level - 1 - true_idx}
+            for wrong_idx in wrong - {true_idx}:
+                bad = validate_block(
+                    block_at(shard_path_coord(level, wrong_idx), [tx], [fee]), state, nonce=nonce
+                )
+                assert not bad.accepted and bad.code == E_SHARD_MISMATCH, (level, wrong_idx)
+                assert f"maps to shard {true_idx} " in bad.detail
 
     def test_multi_input_only_at_root(self):
         state = ChainState()
