@@ -1,4 +1,9 @@
-"""Golden digests: the sha256 of ``canonical_json()`` for one short config per mode.
+"""Golden digests: the sha256 of ``canonical_json()`` for short pinned configs.
+
+``CASES`` holds one config per mode. ``PATH_CASES`` are shorter runs that
+reach the paths those four never take: the per-subblock and hybrid-batch
+broadcast policies, log-normal and empirical transaction sizes, user-chosen
+levels, and a bounded child batch in concurrent mode.
 
 The determinism tests elsewhere compare two runs of the same code, so they
 cannot notice a refactor that changes the report. These digests can. A change
@@ -42,13 +47,64 @@ CASES = {
     ),
 }
 
+SHORT = dict(BASE, duration=600.0 * 200)
+
+PATH_CASES = {
+    "flat-per-subblock": (
+        dict(mode="flat", seed=7, broadcast="per-subblock"),
+        "3c037607b8e4c12162b7edf45c0918cb20a784415b29fbaabb28e18a014e1582",
+    ),
+    "flat-hybrid-batch": (
+        dict(mode="flat", seed=7, broadcast="hybrid-batch"),
+        "08783f4c2be7e179dc817b84f6e94bcb19d0cd8e805c363cf34fa9d75080daa4",
+    ),
+    "flat-lognormal-override": (
+        dict(
+            mode="flat",
+            seed=5,
+            workload=WorkloadSpec(
+                rate=0.2,
+                lg_beta_mu=3.0,
+                lg_beta_sigma=1.0,
+                size_mode="lognormal",
+                size_params=(6.0, 0.4),
+                level_override_fraction=0.2,
+            ),
+        ),
+        "bf6fe54e3a5a6823b4d1ab0d58f7faa265b45b1357d039a7be9ec211dc9e7b78",
+    ),
+    "hybrid-empirical": (
+        dict(
+            mode="hybrid",
+            seed=3,
+            workload=WorkloadSpec(
+                rate=0.2, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode="empirical", size_params=(250, 400, 900)
+            ),
+        ),
+        "70d7088751e5ff487b726819b67c0541307a80cb2f04acab9dc27685a4506150",
+    ),
+    "concurrent-batch2": (
+        dict(mode="concurrent", seed=9, max_child_batch=2, chain_target_times=(429.0, 124.0, 44.5)),
+        "7616e747f3e14d7207c886dbe6aafe1c95b7c69aa6704cd92352313ed3f3c7c1",
+    ),
+}
+
+
+def _check_digest(name, config, expected):
+    digest = hashlib.sha256(simulate(config).canonical_json().encode()).hexdigest()
+    assert digest == expected, (
+        f"{name} report changed; digests were pinned on {PINNED_ON}, "
+        f"this is {platform.platform()}, CPython {platform.python_version()}"
+    )
+
 
 @pytest.mark.parametrize("mode", sorted(CASES))
 def test_canonical_json_digest(mode):
     overrides, expected = CASES[mode]
-    report = simulate(SimConfig(**{**BASE, **overrides}))
-    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
-    assert digest == expected, (
-        f"{mode} report changed; digests were pinned on {PINNED_ON}, "
-        f"this is {platform.platform()}, CPython {platform.python_version()}"
-    )
+    _check_digest(mode, SimConfig(**{**BASE, **overrides}), expected)
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_path_digest(case):
+    overrides, expected = PATH_CASES[case]
+    _check_digest(case, SimConfig(**{**SHORT, **overrides}), expected)
