@@ -234,13 +234,10 @@ def cmd_simulate(args, out) -> int:
             name = f"{Path(name).stem}-{seed}{Path(name).suffix or '.json'}"
         path = _out_path(args, name)
         dataio.write_report(report, path)
-        mean = (
-            sum(report.superblock_times) / len(report.superblock_times)
-            if report.superblock_times
-            else float("nan")
-        )
+        times = report.superblock_times
+        mean = f"{sum(times) / len(times):.2f}s" if times else "n/a"
         out.write(
-            f"seed {seed}: periods={len(report.superblock_times)} mean_period={mean:.2f}s "
+            f"seed {seed}: periods={len(times)} mean_period={mean} "
             f"confirmed={report.txs_confirmed} violations={report.conservation_violations} "
             f"-> {path}\n"
         )

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -150,13 +150,21 @@ class WorkloadSpec:
             raise ValueError("level_override_fraction must be in [0, 1]")
 
 
-def _draw_size(spec: WorkloadSpec, rng: random.Random) -> int:
+def draw_value_size(spec: WorkloadSpec, rng: random.Random) -> tuple[int, int]:
+    """Draw one transaction's (output value, size in bytes), in that draw order.
+
+    Value per bit is 10^Normal(mu, sigma), drawn first; the value is that
+    beta times the bit size, rounded to at least one satoshi.
+    """
+    beta = 10.0 ** rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)
     if spec.size_mode == "fixed":
-        return int(spec.size_params[0])
-    if spec.size_mode == "lognormal":
+        size = int(spec.size_params[0])
+    elif spec.size_mode == "lognormal":
         mu, sigma = spec.size_params
-        return max(1, round(rng.lognormvariate(mu, sigma)))
-    return int(spec.size_params[rng.randrange(len(spec.size_params))])
+        size = max(1, round(rng.lognormvariate(mu, sigma)))
+    else:
+        size = int(spec.size_params[rng.randrange(len(spec.size_params))])
+    return max(1, round(beta * 8 * size)), size
 
 
 def generate_workload(
@@ -168,10 +176,8 @@ def generate_workload(
 ) -> list[tuple[float, ExtendedTransaction]]:
     """Generate (arrival_time, transaction) events over ``duration`` seconds.
 
-    Values per bit are drawn as 10^Normal(mu, sigma); the output value is the
-    drawn beta times the bit size, rounded to at least one satoshi. Input
-    references come from ``input_refs`` when supplied, otherwise they are
-    synthetic.
+    Values and sizes come from :func:`draw_value_size`. Input references
+    come from ``input_refs`` when supplied, otherwise they are synthetic.
     """
     events: list[tuple[float, ExtendedTransaction]] = []
     t = 0.0
@@ -179,9 +185,7 @@ def generate_workload(
         t += rng.expovariate(spec.rate)
         if t >= duration:
             break
-        beta = 10.0 ** rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)
-        size = _draw_size(spec, rng)
-        value = max(1, round(beta * 8 * size))
+        value, size = draw_value_size(spec, rng)
         tx_id = rng.getrandbits(256).to_bytes(32, "big")
         if input_refs:
             ref = input_refs[rng.randrange(len(input_refs))]

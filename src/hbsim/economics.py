@@ -281,43 +281,3 @@ def energy_upper_bound(ep: EnergyParams) -> float:
 def annualized_energy_kwh(kwh_per_block: float) -> float:
     """Scale a per-block energy figure to a year of six blocks per hour."""
     return kwh_per_block * BLOCKS_PER_YEAR
-
-
-def build_schedule(
-    stats: LevelStats,
-    num_blocks: int,
-    target_time: float = TARGET_BLOCK_TIME_S,
-    kappa_fee: float = 1.0,
-    previous_eta: Sequence[float] | None = None,
-    previous_bits: Sequence[float] | None = None,
-    boundaries: Sequence[float] | None = None,
-) -> LevelSchedule:
-    """Assemble a full schedule from window statistics.
-
-    ``previous_eta``/``previous_bits`` supply carry-over values for levels
-    that saw no transactions in the window. Boundaries default to evenly
-    spaced placeholders when the caller keeps them elsewhere.
-    """
-    c_eta = compute_c_eta_flat(stats, num_blocks, target_time)
-    eta = eta_levels_flat(c_eta, stats, previous=previous_eta)
-    avg_bits: list[float] = []
-    for l, summary in enumerate(stats):
-        if summary.count > 0:
-            avg_bits.append(summary.bits_total / num_blocks)
-        elif previous_bits is not None:
-            avg_bits.append(previous_bits[l])
-        else:
-            avg_bits.append(0.0)
-    times = time_per_level(eta, avg_bits)
-    shares_sat = _largest_remainder(times, 10**12)
-    shares = tuple(s / 10**12 for s in shares_sat)
-    n = len(eta)
-    if boundaries is None:
-        boundaries = tuple(float(n - l) for l in range(n + 1))
-    return LevelSchedule(
-        boundaries=tuple(boundaries),
-        eta=tuple(eta),
-        fee_rate_per_bit=tuple(fee_rates(eta, kappa_fee)),
-        reward_share=shares,
-        expected_block_time=tuple(times),
-    )

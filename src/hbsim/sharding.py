@@ -164,6 +164,14 @@ def tx_shard_indices(
     return indices
 
 
+def nonce_step(local: bytes, left: bytes = b"", right: bytes = b"") -> bytes:
+    """One shard's step of the global nonce fold: sha256(local || left || right).
+
+    A leaf has no children, so it hashes its local randomness alone.
+    """
+    return hashlib.sha256(local + left + right).digest()
+
+
 def fold_global_nonce(
     local_random: Mapping[tuple[int, int], bytes], num_levels: int
 ) -> GlobalNonce:
@@ -182,13 +190,13 @@ def fold_global_nonce(
             except KeyError:
                 raise ValueError(f"missing local randomness for shard ({level},{shard})") from None
             if level == num_levels - 1:
-                intermediates[(level, shard)] = hashlib.sha256(local).digest()
+                intermediates[(level, shard)] = nonce_step(local)
             else:
                 left = intermediates.get((level + 1, 2 * shard))
                 right = intermediates.get((level + 1, 2 * shard + 1))
                 if left is None or right is None:
                     raise ValueError(f"missing child nonce below shard ({level},{shard})")
-                intermediates[(level, shard)] = hashlib.sha256(local + left + right).digest()
+                intermediates[(level, shard)] = nonce_step(local, left, right)
     return GlobalNonce(value=intermediates[(0, 0)], intermediates=intermediates)
 
 

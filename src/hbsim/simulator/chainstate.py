@@ -68,10 +68,6 @@ class SubBlock:
     carried: CarriedValues | None = None
     _digest: bytes | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def tx_ids(self) -> tuple[bytes, ...]:
-        return tuple(t.id for t in self.txs)
-
     def digest(self) -> bytes:
         if self._digest is None:
             h = hashlib.sha256()
@@ -107,7 +103,6 @@ class ChainState:
         self._bucket_keys: list[int] = []
         self._pos: dict[bytes, tuple[int, int]] = {}
         self.tips: dict[tuple[int, int], bytes] = {}
-        self.heights: dict[tuple[int, int], int] = {}
         self.total_unspent = 0
         self.fees_collected = 0
         self.minted = 0
@@ -157,12 +152,6 @@ class ChainState:
         self._add(output_id, value)
         self.minted += value
         self.check_conservation()
-
-    def spendable_count(self) -> int:
-        return len(self.unspent)
-
-    def value_of(self, output_id: bytes) -> int | None:
-        return self.unspent.get(output_id)
 
     def pick_at_least(self, needed: int, rng, excluded: set[bytes], tries: int = 8) -> bytes | None:
         """Sample an unspent output worth at least ``needed`` satoshi.
@@ -308,7 +297,5 @@ def apply_block(block: SubBlock, state: ChainState) -> None:
         if change > 0:
             state._add(change_output_id(tx.id), change)
         state.fees_collected += fee
-    key = (block.coord.level, block.coord.index)
-    state.tips[key] = block.digest()
-    state.heights[key] = state.heights.get(key, -1) + 1
+    state.tips[(block.coord.level, block.coord.index)] = block.digest()
     state.check_conservation()

@@ -13,7 +13,6 @@ see, such as propagation delay.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import operator
@@ -22,6 +21,7 @@ import statistics
 from dataclasses import dataclass
 
 from ..core import SATOSHI_PER_BTC, ExtendedTransaction
+from ..dataio import draw_value_size
 from ..economics import (
     LevelSchedule,
     _largest_remainder,
@@ -35,8 +35,10 @@ from ..economics import (
 )
 from ..segmentation import LevelStats, LevelSummary, segment, summarize_level
 from ..sharding import (
+    ShardCoord,
     mfn_download_rate,
     mfn_store_rate,
+    nonce_step,
     rate_to_mb_per_day,
     shard_index,
     shard_path_coord,
@@ -53,6 +55,7 @@ from .chainstate import (
     validate_block,
 )
 from .config import (
+    BROADCAST_HYBRID_BATCH,
     BROADCAST_PER_SUBBLOCK,
     BROADCAST_WHOLE_MULTIBLOCK,
     MODE_CONCURRENT,
@@ -92,7 +95,6 @@ def propagation_delay(size_bytes: int, config: SimConfig) -> float:
 @dataclass
 class MempoolEntry:
     tx: ExtendedTransaction
-    level: int
     fee_sat: int
     seq: int
     size_bits: int = 0
@@ -101,10 +103,6 @@ class MempoolEntry:
     def __post_init__(self) -> None:
         self.size_bits = self.tx.size_bits
         self.sort_key = (-self.fee_sat / self.size_bits, self.seq)
-
-    @property
-    def fee_rate(self) -> float:
-        return self.fee_sat / self.size_bits
 
 
 def take_by_fee_rate(
@@ -122,43 +120,6 @@ def take_by_fee_rate(
         chosen.append(entry)
         used += entry.tx.size_bytes
     return chosen, entries[cut:]
-
-
-def assemble_multiblock(
-    mempool_segments: list[list[MempoolEntry]],
-    schedule,
-    config: SimConfig,
-    seq: int = 0,
-    parent_ref: bytes = b"\x00" * 32,
-) -> list[SubBlock]:
-    """Plan one flat multi-block: per level, greedy fee-rate fill under the cap.
-
-    Returns the sub-blocks in mining order (deepest level first); each block
-    links to the one mined before it, the deepest to ``parent_ref``. Mining
-    times are not assigned here.
-    """
-    num_levels = schedule.num_levels
-    if len(mempool_segments) != num_levels:
-        raise ValueError("one mempool segment per level is required")
-    blocks: list[SubBlock] = []
-    prev = parent_ref
-    for level in range(num_levels - 1, -1, -1):
-        chosen, rest = take_by_fee_rate(mempool_segments[level], config.max_subblock_bytes)
-        mempool_segments[level] = rest
-        bits = config.header_bits + sum(e.size_bits for e in chosen)
-        block = SubBlock(
-            coord=flat_coord(level),
-            seq=seq,
-            parent_ref=prev,
-            child_refs=(),
-            txs=tuple(e.tx for e in chosen),
-            fees_sat=tuple(e.fee_sat for e in chosen),
-            mined_at=0.0,
-            size_bits=bits,
-        )
-        blocks.append(block)
-        prev = block.digest()
-    return blocks
 
 
 class _LevelWindow:
@@ -234,8 +195,7 @@ class _Run:
         self._inject_genesis()
         self._bootstrap_schedule()
         self._next_arrival = self.rng.expovariate(config.workload.rate)
-        self.windows: list[_LevelWindow] = [_LevelWindow() for _ in range(config.num_levels)]
-        self.window_period_times: list[float] = []
+        self._reset_window()
         self.level_dt_sums = [0.0] * config.num_levels
         self.level_dt_counts = [0] * config.num_levels
         # start inside the cap-bound regime: the backlog exists from t=0
@@ -244,29 +204,19 @@ class _Run:
 
     # -- setup --------------------------------------------------------------
 
-    def _inject_genesis(self) -> None:
-        cfg = self.cfg
-        for i in range(cfg.genesis_outputs):
-            output_id = self.rng.getrandbits(256).to_bytes(32, "big")
-            self.state.inject_genesis(output_id, cfg.genesis_value_sat)
+    def _random_id(self) -> bytes:
+        return self.rng.getrandbits(256).to_bytes(32, "big")
 
-    def _bootstrap_sample(self) -> list[ExtendedTransaction]:
-        spec = self.cfg.workload
-        txs = []
-        for _ in range(self.cfg.bootstrap_txs):
-            beta = 10.0 ** self.rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)
-            size = self._draw_size()
-            value = max(1, round(beta * 8 * size))
-            txs.append(
-                ExtendedTransaction(
-                    id=self.rng.getrandbits(256).to_bytes(32, "big"), value=value, size_bytes=size
-                )
-            )
-        return txs
+    def _inject_genesis(self) -> None:
+        for _ in range(self.cfg.genesis_outputs):
+            self.state.inject_genesis(self._random_id(), self.cfg.genesis_value_sat)
 
     def _bootstrap_schedule(self) -> None:
         cfg = self.cfg
-        sample = self._bootstrap_sample()
+        sample = []
+        for _ in range(cfg.bootstrap_txs):
+            value, size = draw_value_size(cfg.workload, self.rng)
+            sample.append(ExtendedTransaction(id=self._random_id(), value=value, size_bytes=size))
         seg = segment(cfg.num_levels, sample)
         stats = LevelStats(tuple(summarize_level(lvl) for lvl in seg.levels))
         for l, row in enumerate(stats):
@@ -370,30 +320,16 @@ class _Run:
 
     # -- arrivals -------------------------------------------------------------
 
-    def _draw_size(self) -> int:
-        spec = self.cfg.workload
-        if spec.size_mode == "fixed":
-            return int(spec.size_params[0])
-        if spec.size_mode == "lognormal":
-            mu, sigma = spec.size_params
-            return max(1, round(self.rng.lognormvariate(mu, sigma)))
-        return int(spec.size_params[self.rng.randrange(len(spec.size_params))])
-
     def _level_for(self, lg_beta: float) -> int:
         level = 0
         while level < self.cfg.num_levels - 1 and lg_beta < self.boundaries[level + 1]:
             level += 1
         return level
 
-    def _pick_input(self, needed: int) -> bytes | None:
-        return self.state.pick_at_least(needed, self.rng, self.reserved)
-
     def _generate_arrival(self) -> None:
         cfg = self.cfg
         spec = cfg.workload
-        beta = 10.0 ** self.rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)
-        size = self._draw_size()
-        value = max(1, round(beta * 8 * size))
+        value, size = draw_value_size(spec, self.rng)
         overridden = (
             spec.level_override_fraction > 0.0
             and self.rng.random() < spec.level_override_fraction
@@ -405,30 +341,28 @@ class _Run:
         overpay = self.rng.uniform(1.0, cfg.fee_overpay_max)
         fee = math.ceil(self.fee_rates_sat[level] * 8 * size * overpay)
         self.txs_generated += 1
-        input_ref = self._pick_input(value + fee)
+        input_ref = self.state.pick_at_least(value + fee, self.rng, self.reserved)
         if input_ref is None:
             self.txs_skipped += 1
             return
         self.reserved.add(input_ref)
         tx = ExtendedTransaction(
-            id=self.rng.getrandbits(256).to_bytes(32, "big"),
+            id=self._random_id(),
             value=value,
             size_bytes=size,
             input_ref=input_ref,
             requested_level=level if overridden else None,
         )
         self.seq += 1
-        self.mempool[level].append(MempoolEntry(tx=tx, level=level, fee_sat=fee, seq=self.seq))
+        self.mempool[level].append(MempoolEntry(tx=tx, fee_sat=fee, seq=self.seq))
 
     def _drain_arrivals(self, until: float) -> None:
         while self._next_arrival < until:
             self._generate_arrival()
             self._next_arrival += self.rng.expovariate(self.cfg.workload.rate)
 
-    def _trim_pool(self, level: int) -> None:
-        """Evict the lowest fee rates beyond the level's backlog bound."""
-        pool = self.mempool[level]
-        limit = self.pool_limits[level]
+    def _evict(self, pool: list[MempoolEntry], limit: int) -> None:
+        """Evict the lowest fee rates beyond ``limit`` entries, in place."""
         if len(pool) <= limit:
             return
         pool.sort(key=operator.attrgetter("sort_key"))
@@ -438,6 +372,57 @@ class _Run:
         del pool[limit:]
 
     # -- block helpers ----------------------------------------------------------
+
+    def _block(self, coord: ShardCoord, seq: int, parent_ref: bytes, chosen: list[MempoolEntry],
+               mined_at: float, bits: int, child_refs: tuple[bytes, ...] = ()) -> SubBlock:
+        return SubBlock(
+            coord=coord,
+            seq=seq,
+            parent_ref=parent_ref,
+            child_refs=child_refs,
+            txs=tuple(e.tx for e in chosen),
+            fees_sat=tuple(e.fee_sat for e in chosen),
+            mined_at=mined_at,
+            size_bits=bits,
+        )
+
+    def _mine_level(self, level: int, parent_ref: bytes, seq: int) -> SubBlock:
+        """Fill one flat level by fee rate under its cap, mine it from now and accept it."""
+        chosen, self.mempool[level] = take_by_fee_rate(self.mempool[level], self.caps[level])
+        self._evict(self.mempool[level], self.pool_limits[level])
+        bits = self.cfg.header_bits + sum(e.size_bits for e in chosen)
+        dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
+        self.t += dt
+        block = self._block(flat_coord(level), seq, parent_ref, chosen, self.t, bits)
+        self._accept(block, chosen, dt)
+        return block
+
+    def _mine_levels(self, levels, parent_ref: bytes, seq: int, policy: str) -> bytes:
+        """Mine ``levels`` in order, each block linked to the one before it.
+
+        ``policy`` says when arrivals are drawn (once before the batch for a
+        whole multi-block, else before every block) and what is broadcast
+        (every sub-block, or the whole batch after its last block). Returns
+        the digest of the last block.
+        """
+        batch_bytes = 0
+        for i, level in enumerate(levels):
+            if i == 0 or policy != BROADCAST_WHOLE_MULTIBLOCK:
+                self._drain_arrivals(self.t)
+            block = self._mine_level(level, parent_ref, seq)
+            batch_bytes += block.size_bits // 8
+            if policy == BROADCAST_PER_SUBBLOCK:
+                self.t += propagation_delay(block.size_bits // 8, self.cfg)
+            parent_ref = block.digest()
+        if policy != BROADCAST_PER_SUBBLOCK:
+            self.t += propagation_delay(batch_bytes, self.cfg)
+        return parent_ref
+
+    def _shard_coords(self) -> dict[tuple[int, int], ShardCoord]:
+        """The coordinate of every (level, shard) of the binary tree, root first."""
+        return {
+            (l, s): shard_path_coord(l, s) for l in range(self.cfg.num_levels) for s in range(2**l)
+        }
 
     def _accept(self, block: SubBlock, entries: list[MempoolEntry], dt: float, nonce=None,
                 check_shard=False, expected_carried=None) -> None:
@@ -480,6 +465,14 @@ class _Run:
         lo, hi = self.cfg.timing_gain_bounds
         self.gain = min(hi, max(lo, self.gain * step))
 
+    def _reset_window(self) -> None:
+        self.windows = [_LevelWindow() for _ in range(self.cfg.num_levels)]
+        self.window_period_times: list[float] = []
+
+    def _end_period(self, t0: float) -> None:
+        self.report.superblock_times.append(self.t - t0)
+        self.window_period_times.append(self.t - t0)
+
     def _retarget_flat(self, lam=None) -> None:
         cfg = self.cfg
         stats, avg_bits, beta_means = self._window_stats()
@@ -488,13 +481,19 @@ class _Run:
         eta = eta_levels_flat(c_eta, stats, previous=self.eta_formula)
         self._update_gain(realized)
         self._install_schedule(c_eta, eta, avg_bits, realized, beta_means, lam=lam)
-        self.windows = [_LevelWindow() for _ in range(cfg.num_levels)]
-        self.window_period_times = []
+        self._reset_window()
 
     def _mint_level_rewards(self, tag: str) -> None:
         split = reward_split_flat(self.expected_times, self.cfg.block_reward_btc)
         for level, amount in enumerate(split):
             self.state.mint(reward_output_id(f"{tag}/{level}"), amount)
+
+    def _mint_shard_rewards(self, times: list[float], tag: str) -> None:
+        cfg = self.cfg
+        split = reward_split_tree(times, cfg.num_levels, cfg.block_reward_btc, cfg.children_per_node)
+        for level, shares in enumerate(split):
+            for shard, amount in enumerate(shares):
+                self.state.mint(reward_output_id(f"{tag}/{level}/{shard}"), amount)
 
     # -- finish -------------------------------------------------------------
 
@@ -571,41 +570,9 @@ class _FlatRun(_Run):
         policy = cfg.effective_broadcast
         while self.t < cfg.duration:
             t0 = self.t
-            if policy == BROADCAST_WHOLE_MULTIBLOCK:
-                self._drain_arrivals(self.t)
-            prev_ref = top_ref
-            total_bytes = 0
-            for level in range(cfg.num_levels - 1, -1, -1):
-                if policy != BROADCAST_WHOLE_MULTIBLOCK:
-                    self._drain_arrivals(self.t)
-                chosen, rest = take_by_fee_rate(self.mempool[level], self.caps[level])
-                self.mempool[level] = rest
-                self._trim_pool(level)
-                bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-                dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
-                self.t += dt
-                block = SubBlock(
-                    coord=flat_coord(level),
-                    seq=period,
-                    parent_ref=prev_ref,
-                    child_refs=(),
-                    txs=tuple(e.tx for e in chosen),
-                    fees_sat=tuple(e.fee_sat for e in chosen),
-                    mined_at=self.t,
-                    size_bits=bits,
-                )
-                self._accept(block, chosen, dt)
-                total_bytes += bits // 8
-                if policy == BROADCAST_PER_SUBBLOCK:
-                    self.t += propagation_delay(bits // 8, cfg)
-                prev_ref = block.digest()
-            if policy != BROADCAST_PER_SUBBLOCK:
-                self.t += propagation_delay(total_bytes, cfg)
-            top_ref = prev_ref
+            top_ref = self._mine_levels(range(cfg.num_levels - 1, -1, -1), top_ref, period, policy)
             self._mint_level_rewards(f"flat/{period}")
-            sb_time = self.t - t0
-            self.report.superblock_times.append(sb_time)
-            self.window_period_times.append(sb_time)
+            self._end_period(t0)
             period += 1
             if period % cfg.retarget_window == 0:
                 self._retarget_flat()
@@ -632,53 +599,13 @@ class _HybridRun(_Run):
         period = 0
         while self.t < cfg.duration:
             t0 = self.t
-            self._drain_arrivals(self.t)
             # legacy block: the level-0 sub-block, broadcast on its own
-            chosen, rest = take_by_fee_rate(self.mempool[0], self.caps[0])
-            self.mempool[0] = rest
-            self._trim_pool(0)
-            bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-            dt = sample_mining_time(self.rng, self.eta_applied[0], bits)
-            self.t += dt
-            legacy = SubBlock(
-                coord=flat_coord(0),
-                seq=period,
-                parent_ref=top_ref,
-                child_refs=(),
-                txs=tuple(e.tx for e in chosen),
-                fees_sat=tuple(e.fee_sat for e in chosen),
-                mined_at=self.t,
-                size_bits=bits,
-            )
-            self._accept(legacy, chosen, dt)
-            self.t += propagation_delay(bits // 8, cfg)
-            prev_ref = legacy.digest()
+            legacy_ref = self._mine_levels([0], top_ref, period, BROADCAST_PER_SUBBLOCK)
             # multi-block: the remaining levels, mined in sequence, broadcast together
             hold = self.t
-            multi_bytes = 0
-            for level in range(cfg.num_levels - 1, 0, -1):
-                self._drain_arrivals(self.t)
-                chosen, rest = take_by_fee_rate(self.mempool[level], self.caps[level])
-                self.mempool[level] = rest
-                self._trim_pool(level)
-                bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-                dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
-                self.t += dt
-                block = SubBlock(
-                    coord=flat_coord(level),
-                    seq=period,
-                    parent_ref=prev_ref,
-                    child_refs=(),
-                    txs=tuple(e.tx for e in chosen),
-                    fees_sat=tuple(e.fee_sat for e in chosen),
-                    mined_at=self.t,
-                    size_bits=bits,
-                )
-                self._accept(block, chosen, dt)
-                multi_bytes += bits // 8
-                prev_ref = block.digest()
-            self.t += propagation_delay(multi_bytes, cfg)
-            top_ref = prev_ref
+            top_ref = self._mine_levels(
+                range(cfg.num_levels - 1, 0, -1), legacy_ref, period, BROADCAST_HYBRID_BATCH
+            )
             multi_times.append(self.t - hold)
             # split the reward between the two block kinds at the current weight
             total_sat = round(cfg.block_reward_btc * SATOSHI_PER_BTC)
@@ -687,9 +614,7 @@ class _HybridRun(_Run):
             self.state.mint(reward_output_id(f"hybrid/{period}/multi"), multi_sat)
             legacy_reward_sat += total_sat - multi_sat
             multi_reward_sat += multi_sat
-            sb_time = self.t - t0
-            self.report.superblock_times.append(sb_time)
-            self.window_period_times.append(sb_time)
+            self._end_period(t0)
             period += 1
             if period % cfg.retarget_window == 0:
                 window_mean = statistics.fmean(multi_times[-cfg.retarget_window :])
@@ -724,7 +649,8 @@ class _TreeRun(_Run):
     def run(self) -> SimReport:
         cfg = self.cfg
         num_levels = cfg.num_levels
-        shards = [(l, s) for l in range(num_levels) for s in range(2**l)]
+        coords = self._shard_coords()
+        shards = list(coords)
         total_hashrate = sum(m.hashrate for m in cfg.miners)
         prev_value_avg = {key: 0.0 for key in shards}
         prev_beta_avg = {key: 0.0 for key in shards}
@@ -777,7 +703,7 @@ class _TreeRun(_Run):
                         child_sum = 0.0
                         child_beta = [0.0] * num_levels
                         child_bits = [0.0] * num_levels
-                        nonce_input = b""
+                        child_nonces: tuple[bytes, ...] = ()
                     else:
                         kids = ((level + 1, 2 * shard), (level + 1, 2 * shard + 1))
                         start = max(
@@ -796,7 +722,7 @@ class _TreeRun(_Run):
                             + carried_map[kids[1]].bits_level_sums[l]
                             for l in range(num_levels)
                         ]
-                        nonce_input = carried_map[kids[0]].nonce + carried_map[kids[1]].nonce
+                        child_nonces = (carried_map[kids[0]].nonce, carried_map[kids[1]].nonce)
                     dt = sample_mining_time(self.rng, 2**level * self.eta_applied[level], bits, alpha)
                     finish[key] = start + dt
                     # distributed averages carried in the header
@@ -814,25 +740,21 @@ class _TreeRun(_Run):
                     bits_sums = list(child_bits)
                     beta_sums[level] = beta_avg
                     bits_sums[level] = bits_avg
-                    local_random = self.rng.getrandbits(256).to_bytes(32, "big")
-                    shard_nonce = hashlib.sha256(local_random + nonce_input).digest()
                     carried = CarriedValues(
                         value_avg=value_avg,
                         subtree_sum=value_avg + child_sum,
                         beta_level_sums=tuple(beta_sums),
                         bits_level_sums=tuple(bits_sums),
-                        nonce=shard_nonce,
+                        nonce=nonce_step(self._random_id(), *child_nonces),
                     )
-                    coord = shard_path_coord(level, shard)
-                    block = SubBlock(
-                        coord=coord,
-                        seq=round_index,
-                        parent_ref=self.state.tips.get(key, b"\x00" * 32),
-                        child_refs=child_refs,
-                        txs=tuple(e.tx for e in chosen),
-                        fees_sat=tuple(e.fee_sat for e in chosen),
-                        mined_at=finish[key],
-                        size_bits=bits,
+                    block = self._block(
+                        coords[key],
+                        round_index,
+                        self.state.tips.get(key, b"\x00" * 32),
+                        chosen,
+                        finish[key],
+                        bits,
+                        child_refs,
                     )
                     block.carried = carried
                     self._accept(
@@ -847,20 +769,13 @@ class _TreeRun(_Run):
                         root_block = block
                 if stalled:
                     break
-                self._trim_pool(level)
+                self._evict(self.mempool[level], self.pool_limits[level])
             if stalled:
                 break
             nonce = carried_map[(0, 0)].nonce
             self.t = finish[(0, 0)] + propagation_delay(root_block.size_bits // 8, cfg)
-            split = reward_split_tree(
-                self.expected_times, num_levels, cfg.block_reward_btc, cfg.children_per_node
-            )
-            for l in range(num_levels):
-                for s in range(2**l):
-                    self.state.mint(reward_output_id(f"tree/{round_index}/{l}/{s}"), split[l][s])
-            sb_time = self.t - t0
-            self.report.superblock_times.append(sb_time)
-            self.window_period_times.append(sb_time)
+            self._mint_shard_rewards(self.expected_times, f"tree/{round_index}")
+            self._end_period(t0)
             round_index += 1
             if round_index % cfg.retarget_window == 0:
                 root = carried_map[(0, 0)]
@@ -888,8 +803,7 @@ class _TreeRun(_Run):
                 raw_value_samples = {key: [] for key in shards}
                 self._update_gain(realized)
                 self._install_schedule(c_pub, eta_pub, avg_bits, realized, beta_means)
-                self.windows = [_LevelWindow() for _ in range(num_levels)]
-                self.window_period_times = []
+                self._reset_window()
         report = self._finalize()
         report.tree = {
             "published": published,
@@ -917,7 +831,8 @@ class _ConcurrentRun(_Run):
     def run(self) -> SimReport:
         cfg = self.cfg
         num_levels = cfg.num_levels
-        chains = [(l, s) for l in range(num_levels) for s in range(2**l)]
+        coords = self._shard_coords()
+        chains = list(coords)
         chain_mempool: dict[tuple[int, int], list[MempoolEntry]] = {c: [] for c in chains}
         unreferenced: dict[tuple[int, int], list[bytes]] = {c: [] for c in chains}
         referenced: set[bytes] = set()
@@ -959,15 +874,11 @@ class _ConcurrentRun(_Run):
                         tx_arrival[entry.tx.id] = arrival_time
                         tx_level[entry.tx.id] = level
 
-        def mine(chain: tuple[int, int], now: float, entries_source: list[MempoolEntry], sweep: bool):
+        def mine(chain: tuple[int, int], now: float, sweep: bool):
             nonlocal references_mined
             level, shard = chain
-            chosen, rest = take_by_fee_rate(entries_source, cfg.max_subblock_bytes)
-            if len(rest) > chain_pool_limit[level]:
-                for entry in rest[chain_pool_limit[level] :]:
-                    self.reserved.discard(entry.tx.input_ref)
-                    self.txs_evicted += 1
-                rest = rest[: chain_pool_limit[level]]
+            chosen, rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
+            self._evict(rest, chain_pool_limit[level])
             chain_mempool[chain] = rest
             refs = []
             if level < num_levels - 1:
@@ -977,15 +888,14 @@ class _ConcurrentRun(_Run):
                     refs.extend(batch[:take])
                     unreferenced[kid] = batch[take:]
             bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-            block = SubBlock(
-                coord=shard_path_coord(level, shard),
-                seq=chain_blocks[chain],
-                parent_ref=self.state.tips.get(chain, b"\x00" * 32),
-                child_refs=tuple(refs),
-                txs=tuple(e.tx for e in chosen),
-                fees_sat=tuple(e.fee_sat for e in chosen),
-                mined_at=now,
-                size_bits=bits,
+            block = self._block(
+                coords[chain],
+                chain_blocks[chain],
+                self.state.tips.get(chain, b"\x00" * 32),
+                chosen,
+                now,
+                bits,
+                tuple(refs),
             )
             dt = now - chain_last[chain]
             self._accept(block, chosen, dt, nonce=None, check_shard=True)
@@ -1005,21 +915,13 @@ class _ConcurrentRun(_Run):
                 chain_blocks[chain] += 1
             chain_last[chain] = now
             if chain == (0, 0):
-                split = reward_split_tree(
-                    cadence, num_levels, cfg.block_reward_btc, cfg.children_per_node
-                )
-                for l in range(num_levels):
-                    for s in range(2**l):
-                        self.state.mint(
-                            reward_output_id(f"conc/{block.seq}/{chain[0]}/{l}/{s}"), split[l][s]
-                        )
-            return digest
+                self._mint_shard_rewards(cadence, f"conc/{block.seq}/0")
 
         while heap and heap[0][0] < cfg.duration:
             now, _, chain = heapq.heappop(heap)
             self.t = now
             drain(now)
-            mine(chain, now, chain_mempool[chain], sweep=False)
+            mine(chain, now, sweep=False)
             dt_next = self.rng.expovariate(1.0 / cadence[chain[0]])
             heapq.heappush(heap, (now + dt_next, counter, chain))
             counter += 1
@@ -1032,7 +934,7 @@ class _ConcurrentRun(_Run):
                 if any(unreferenced[k] for k in kids):
                     t_sweep += self.rng.expovariate(1.0 / cadence[level])
                     self.t = t_sweep
-                    mine((level, shard), t_sweep, chain_mempool[(level, shard)], sweep=True)
+                    mine((level, shard), t_sweep, sweep=True)
 
         # root-path times: a block settles when a level-0 block transitively refers to it
         t_root: dict[bytes, float] = {}
@@ -1109,26 +1011,3 @@ def simulate(config: SimConfig) -> SimReport:
     }
     return runners[config.mode](config).run()
 
-
-def run_flat(config: SimConfig) -> SimReport:
-    if config.mode != MODE_FLAT:
-        raise ValueError("config.mode must be 'flat'")
-    return _FlatRun(config).run()
-
-
-def run_hybrid(config: SimConfig) -> SimReport:
-    if config.mode != MODE_HYBRID:
-        raise ValueError("config.mode must be 'hybrid'")
-    return _HybridRun(config).run()
-
-
-def run_tree(config: SimConfig) -> SimReport:
-    if config.mode != MODE_TREE:
-        raise ValueError("config.mode must be 'tree'")
-    return _TreeRun(config).run()
-
-
-def run_concurrent(config: SimConfig) -> SimReport:
-    if config.mode != MODE_CONCURRENT:
-        raise ValueError("config.mode must be 'concurrent'")
-    return _ConcurrentRun(config).run()

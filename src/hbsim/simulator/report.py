@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -21,21 +21,6 @@ class EpochTrace:
     realized_mean_time: float
     security_consts: list[float | None]
     lam: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "c_eta": self.c_eta,
-            "eta": self.eta,
-            "eta_applied": self.eta_applied,
-            "t_hat": self.t_hat,
-            "avg_block_bits": self.avg_block_bits,
-            "beta_means": self.beta_means,
-            "gain": self.gain,
-            "realized_mean_time": self.realized_mean_time,
-            "security_consts": self.security_consts,
-            "lam": self.lam,
-        }
 
 
 @dataclass
@@ -75,38 +60,7 @@ class SimReport:
     concurrent: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "num_levels": self.num_levels,
-            "config": self.config,
-            "sim_end_time": self.sim_end_time,
-            "superblock_times": self.superblock_times,
-            "level_time_means": self.level_time_means,
-            "level_block_counts": self.level_block_counts,
-            "epochs": [e.to_dict() for e in self.epochs],
-            "txs_generated": self.txs_generated,
-            "txs_confirmed": self.txs_confirmed,
-            "txs_skipped": self.txs_skipped,
-            "txs_evicted": self.txs_evicted,
-            "blocks_accepted": self.blocks_accepted,
-            "blocks_rejected": self.blocks_rejected,
-            "genesis_sat": self.genesis_sat,
-            "minted_sat": self.minted_sat,
-            "fees_sat": self.fees_sat,
-            "unspent_sat": self.unspent_sat,
-            "conservation_checks": self.conservation_checks,
-            "conservation_violations": self.conservation_violations,
-            "throughput_tps": self.throughput_tps,
-            "cadence_rel_error": self.cadence_rel_error,
-            "mfn": self.mfn,
-            "energy": self.energy,
-            "schedule_final": self.schedule_final,
-            "monotonicity_repairs": self.monotonicity_repairs,
-            "hybrid": self.hybrid,
-            "tree": self.tree,
-            "concurrent": self.concurrent,
-        }
+        return asdict(self)
 
     def canonical_json(self) -> str:
         """Canonical serialization; equal strings mean equal reports."""

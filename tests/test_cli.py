@@ -145,6 +145,17 @@ class TestValidation:
         assert payload["tree"]["rounds"] == 11
         assert "stalled at round 11: shard (2,0) has no miner" in err
         assert f"covers {payload['sim_end_time']:.0f}s of 18000s" in err
+        assert "periods=11 mean_period=" in text and "mean_period=n/a" not in text
+        # six miners leave a leaf empty before the first round completes
+        code, text = invoke(
+            ["simulate", "--mode", "tree", "--levels", "3", "--seed", "1", "--periods", "30",
+             "--miners", "6", "--out-dir", str(tmp_path), "--out", "s0.json"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "periods=0 mean_period=n/a " in text
+        assert "nan" not in text
+        assert "stalled at round 0:" in err
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBSIM_OUT_DIR", str(tmp_path / "envout"))

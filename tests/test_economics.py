@@ -9,7 +9,6 @@ from hbsim.economics import (
     EnergyParams,
     LevelSchedule,
     annualized_energy_kwh,
-    build_schedule,
     c_eta_from_total_value,
     check_min_level_time,
     compute_c_eta_flat,
@@ -144,6 +143,16 @@ class TestMinLevelTime:
         ok, recommended = check_min_level_time(fx.L6_TIME, 1000.0)
         assert not ok
         assert recommended == 0
+
+    def test_accepts_level_schedule(self):
+        schedule = LevelSchedule(
+            boundaries=tuple(float(6 - l) for l in range(7)),
+            eta=fx.L6_ETA,
+            fee_rate_per_bit=fx.L6_ETA,
+            reward_share=tuple(t / sum(fx.L6_TIME) for t in fx.L6_TIME),
+            expected_block_time=fx.L6_TIME,
+        )
+        assert check_min_level_time(schedule, 15.0) == check_min_level_time(fx.L6_TIME, 15.0) == (False, 3)
 
 
 class TestFees:
@@ -330,20 +339,3 @@ class TestEnergy:
         base_kwh, _ = energy_per_tx(self.ep(), self.net(), 1000)
         scaled_kwh, _ = energy_per_tx(self.ep(), self.net(), int(1000 * k))
         assert scaled_kwh == pytest.approx(base_kwh * int(1000 * k) / 1000, rel=1e-12)
-
-
-class TestBuildSchedule:
-    def test_schedule_from_table_stats(self):
-        schedule = build_schedule(fx.table1_stats(), fx.NUM_BLOCKS, kappa_fee=2.0)
-        assert schedule.num_levels == 6
-        assert sum(schedule.reward_share) == pytest.approx(1.0, abs=1e-12)
-        for l in range(5):
-            assert schedule.eta[l + 1] < schedule.eta[l]
-        for got, want in zip(schedule.expected_block_time, fx.L6_TIME):
-            assert got == pytest.approx(want, rel=0.02)
-
-    def test_min_level_time_accepts_schedule(self):
-        schedule = build_schedule(fx.table1_stats(), fx.NUM_BLOCKS)
-        ok, recommended = check_min_level_time(schedule, 15.0)
-        assert not ok
-        assert recommended == 3

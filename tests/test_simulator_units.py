@@ -20,7 +20,6 @@ from hbsim.simulator import (
     SimConfig,
     SubBlock,
     apply_block,
-    assemble_multiblock,
     change_output_id,
     equal_miners,
     flat_coord,
@@ -30,7 +29,7 @@ from hbsim.simulator import (
     take_by_fee_rate,
     validate_block,
 )
-from hbsim.economics import LevelSchedule
+from hbsim.simulator import engine
 from conftest import make_tx
 
 
@@ -105,7 +104,7 @@ def random_entries(rng, n):
     entries = []
     for i in range(n):
         tx = make_tx(rng.randrange(1, 10**6), rng.randrange(100, 900), input_ref=b"\x01" * 32)
-        entries.append(MempoolEntry(tx=tx, level=0, fee_sat=rng.randrange(1, 10**5), seq=i))
+        entries.append(MempoolEntry(tx=tx, fee_sat=rng.randrange(1, 10**5), seq=i))
     return entries
 
 
@@ -130,50 +129,81 @@ class TestTakeByFeeRate:
         txa = make_tx(10, 100, input_ref=b"\x01" * 32)
         txb = make_tx(10, 100, input_ref=b"\x02" * 32)
         entries = [
-            MempoolEntry(tx=txb, level=0, fee_sat=800, seq=2),
-            MempoolEntry(tx=txa, level=0, fee_sat=800, seq=1),
+            MempoolEntry(tx=txb, fee_sat=800, seq=2),
+            MempoolEntry(tx=txa, fee_sat=800, seq=1),
         ]
         chosen, _ = take_by_fee_rate(entries, 10_000)
         assert [e.seq for e in chosen] == [1, 2]
 
 
-def schedule3():
-    return LevelSchedule(
-        boundaries=(6.0, 4.0, 2.0, 0.0),
-        eta=(1e-3, 1e-5, 1e-7),
-        fee_rate_per_bit=(50.0, 0.5, 0.005),
-        reward_share=(0.7, 0.2, 0.1),
-        expected_block_time=(420.0, 150.0, 30.0),
-    )
+class TestMineLevel:
+    """``_Run._mine_level`` is the one fill, mine and accept step of flat and hybrid mode."""
 
-
-class TestAssembleMultiblock:
     def test_empty_mempool_yields_header_only_blocks(self):
-        cfg = small_config()
-        blocks = assemble_multiblock([[], [], []], schedule3(), cfg)
-        assert len(blocks) == 3
-        assert [b.coord.level for b in blocks] == [2, 1, 0]
-        assert all(b.size_bits == cfg.header_bits for b in blocks)
-        assert all(not b.txs for b in blocks)
+        run = engine._FlatRun(small_config())
+        run.mempool = [[], [], []]
+        prev = b"\x00" * 32
+        for level in (2, 1, 0):
+            block = run._mine_level(level, prev, seq=0)
+            assert block.coord.level == level
+            assert block.size_bits == run.cfg.header_bits
+            assert not block.txs
+            prev = block.digest()
 
     def test_one_tx_per_level(self):
-        cfg = small_config()
-        segments = []
+        run = engine._FlatRun(small_config())
+        kept = []
         for level in range(3):
-            tx = make_tx(1000, 200, input_ref=bytes([level]) * 32)
-            segments.append([MempoolEntry(tx=tx, level=level, fee_sat=10, seq=level)])
-        blocks = assemble_multiblock(segments, schedule3(), cfg)
-        by_level = {b.coord.level: b for b in blocks}
-        for level in range(3):
-            assert len(by_level[level].txs) == 1
+            assert run.mempool[level], "the preseeded backlog reaches every level"
+            run.mempool[level] = run.mempool[level][:1]
+            kept.append(run.mempool[level][0])
+        for level in (2, 1, 0):
+            block = run._mine_level(level, b"\x00" * 32, seq=0)
+            assert block.txs == (kept[level].tx,)
+            assert block.fees_sat == (kept[level].fee_sat,)
+            assert block.size_bits == run.cfg.header_bits + kept[level].size_bits
+            assert run.mempool[level] == []
 
-    def test_blocks_chain_upward(self):
-        cfg = small_config()
+    def test_seq_and_parent_pass_through(self):
+        run = engine._FlatRun(small_config())
         parent = b"\x77" * 32
-        blocks = assemble_multiblock([[], [], []], schedule3(), cfg, seq=5, parent_ref=parent)
-        assert blocks[0].parent_ref == parent
-        assert blocks[1].parent_ref == blocks[0].digest()
-        assert blocks[2].parent_ref == blocks[1].digest()
+        t_before = run.t
+        block = run._mine_level(2, parent, seq=5)
+        assert block.parent_ref == parent
+        assert block.seq == 5
+        assert block.mined_at == run.t > t_before
+
+    @staticmethod
+    def mined_blocks(monkeypatch, mode):
+        mined = []
+        original = engine._Run._mine_level
+
+        def spy(self, level, parent_ref, seq):
+            block = original(self, level, parent_ref, seq)
+            mined.append(block)
+            return block
+
+        monkeypatch.setattr(engine._Run, "_mine_level", spy)
+        report = engine.simulate(small_config(mode=mode, duration=600.0 * 8))
+        return mined, len(report.superblock_times)
+
+    def test_blocks_chain_upward(self, monkeypatch):
+        """A flat period mines the deepest level first; every block links to
+        the one mined before it, across periods too."""
+        mined, periods = self.mined_blocks(monkeypatch, "flat")
+        assert periods >= 2
+        assert [b.coord.level for b in mined] == [2, 1, 0] * periods
+        assert [b.seq for b in mined] == [p for p in range(periods) for _ in range(3)]
+        assert mined[0].parent_ref == b"\x00" * 32
+        for before, block in zip(mined, mined[1:]):
+            assert block.parent_ref == before.digest()
+
+    def test_hybrid_mines_the_legacy_block_first(self, monkeypatch):
+        mined, periods = self.mined_blocks(monkeypatch, "hybrid")
+        assert periods >= 2
+        assert [b.coord.level for b in mined] == [0, 2, 1] * periods
+        for before, block in zip(mined, mined[1:]):
+            assert block.parent_ref == before.digest()
 
 
 class TestChainState:
