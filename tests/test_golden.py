@@ -1,9 +1,12 @@
-"""Golden digests: the sha256 of ``canonical_json()`` for short pinned configs.
+"""Golden digests: the sha256 of ``canonical_json()`` for short pinned configs,
+and of the ``hbsim segment``/``estimate`` output on a seeded dataset.
 
 ``CASES`` holds one config per mode. ``PATH_CASES`` are shorter runs that
 reach the paths those four never take: the per-subblock and hybrid-batch
 broadcast policies, log-normal and empirical transaction sizes, user-chosen
-levels, and a bounded child batch in concurrent mode.
+levels, and a bounded child batch in concurrent mode. ``ANALYSIS_COMMANDS``
+run the dataset commands on rows with exact ties in beta, zero-value rows and
+an extra column.
 
 The determinism tests elsewhere compare two runs of the same code, so they
 cannot notice a refactor that changes the report. These digests can. A change
@@ -16,11 +19,14 @@ Linux x86_64 (glibc 2.36), CPython 3.11.7.
 """
 
 import hashlib
+import io
 import platform
+import random
 
 import pytest
 
-from hbsim.dataio import WorkloadSpec
+from hbsim.cli import run_cli
+from hbsim.dataio import DatasetRow, WorkloadSpec, write_dataset
 from hbsim.simulator import SimConfig, equal_miners, simulate
 
 PINNED_ON = "Linux x86_64, glibc 2.36, CPython 3.11.7"
@@ -108,3 +114,68 @@ def test_canonical_json_digest(mode):
 def test_path_digest(case):
     overrides, expected = PATH_CASES[case]
     _check_digest(case, SimConfig(**{**SHORT, **overrides}), expected)
+
+
+# -- analysis path ------------------------------------------------------------
+
+ANALYSIS_COMMANDS = {
+    "segment": (
+        ["segment", "--levels", "5", "--format", "delimited"],
+        "2c0b91b5e8f9ddef35ab32507d4113445af95a557f2eeee0f40c9af533bb081e",
+    ),
+    "segment-rounded": (
+        ["segment", "--levels", "4", "--mode", "rounded", "--format", "delimited"],
+        "d44482b401d7276e6e0951a27663638c3d23154472dc2aa1e1045a8ac8b02996",
+    ),
+    "estimate": (
+        ["estimate", "--levels", "5"],
+        "54d1afd95a1f4fa47d07a8cb1c378056fa7e880728ff352a4c491f25779e3d6c",
+    ),
+}
+
+
+def _analysis_rows(seed=2024, n=3000):
+    """Seeded dataset rows with ties in beta, zero values and an extra column.
+
+    Sizes come from a small set and every fifth value is a multiple of its
+    size, so many rows share a beta exactly; some rows repeat an earlier
+    (value, size) pair under a new txid.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        size = rng.choice((1, 2, 4, 250, 400, 401))
+        kind = rng.random()
+        if kind < 0.02:
+            value = 0
+        elif kind < 0.2:
+            value = 8 * size * rng.choice((1, 10, 125, 1000, 4096))
+        elif kind < 0.3 and rows:
+            prev = rows[rng.randrange(len(rows))]
+            size, value = prev.size, prev.output_value
+        else:
+            value = max(1, round(10.0 ** rng.gauss(3.0, 1.2) * 8 * size))
+        rows.append(
+            DatasetRow(
+                block_height=700_000 + i // 40,
+                txid=rng.getrandbits(256).to_bytes(32, "big").hex(),
+                size=size,
+                output_value=value,
+                extras=(("n_outputs", str(rng.randrange(1, 5))),),
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_COMMANDS))
+def test_analysis_digest(case, tmp_path):
+    argv, expected = ANALYSIS_COMMANDS[case]
+    path = tmp_path / "dataset.csv"
+    write_dataset(path, _analysis_rows())
+    out = io.StringIO()
+    assert run_cli(argv + ["--dataset", str(path)], out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == expected, (
+        f"{case} output changed; digests were pinned on {PINNED_ON}, "
+        f"this is {platform.platform()}, CPython {platform.python_version()}"
+    )
