@@ -9,15 +9,19 @@ exports are delimited files whose first row names the series.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import ExtendedTransaction
-from .segmentation import fit_lognormal, lg_beta_histogram
+from .segmentation import TransactionTable, fit_lognormal, lg_beta_histogram
 from . import sharding
 
 MANDATORY_COLUMNS = ("block_height", "txid", "size", "output_value")
@@ -47,61 +51,150 @@ class LoadSummary:
     extra_columns: tuple[str, ...]
 
 
-def _txid_to_bytes(txid: str) -> bytes:
+# Values and sizes at or above 2^53 would lose exactness when beta divides
+# them as binary floats; the loader rejects them.
+MAX_EXACT_INT = 2**53
+_CHUNK_CHARS = 1 << 20
+_CHUNK_ROWS = 1 << 14
+_INT64 = range(-(2**63), 2**63)
+
+
+def _column_chunks(fh, header: list[str]) -> Iterator[tuple[Sequence, ...]]:
+    """The records after the header, in chunks of (height, txid, size, value) columns.
+
+    A chunk of plain lines (no quote, NUL or carriage return outside a CRLF
+    line end, and the header's field count on every line) is split on commas
+    directly. From the first other chunk on, ``csv.reader`` parses the rest
+    of the file; it skips blank lines and gives a short record None for its
+    missing fields, as ``csv.DictReader`` does.
+    """
+    index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    picks = [index[c] for c in MANDATORY_COLUMNS]
+    width = len(header)
+    while text := fh.read(_CHUNK_CHARS):
+        text += fh.readline()
+        if not text.endswith("\n"):
+            text += "\n"
+        codes = np.frombuffer(text.encode(), dtype=np.uint8)
+        line_ends = np.flatnonzero(codes == ord("\n"))
+        commas = np.diff(np.searchsorted(np.flatnonzero(codes == ord(",")), line_ends), prepend=0)
+        if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n") or (commas != width - 1).any():
+            break
+        flat = text.replace("\r\n", ",") if "\r" in text else text
+        fields = (flat.replace("\n", ",") if "\n" in flat else flat).split(",")
+        fields.pop()
+        yield tuple(fields[i::width] for i in picks)
+    else:
+        return
+    reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+    short = max(picks) + 1
+    while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
+        rows = [row for row in raw if row]
+        if rows and min(map(len, rows)) < short:
+            rows = [row + [None] * (short - len(row)) for row in rows]
+        if rows:
+            columns = list(zip(*rows))
+            yield tuple(columns[i] for i in picks)
+
+
+def _row_error(fields: tuple) -> str | None:
+    """Why one record (height, txid, size, value) is rejected, or None.
+
+    The scalar statement of the rules :func:`load_dataset` applies to whole
+    columns; the loader calls it only to name the first bad record.
+    """
+    height, txid, size, value = fields
     try:
-        raw = bytes.fromhex(txid)
-        if raw:
-            return raw
-    except ValueError:
-        pass
-    return txid.encode("utf-8")
+        height, size, value = int(height), int(size), int(value)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    if txid is None:
+        return "missing txid"
+    for name, field in (("size", size), ("output_value", value)):
+        if field not in _INT64:
+            return f"{name} {field} is out of range"
+    if value == 0:
+        return None
+    if size < 1:
+        return "size must be >= 1"
+    if value < 0:
+        return f"output_value must be >= 0, got {value}"
+    if value >= MAX_EXACT_INT or size >= MAX_EXACT_INT:
+        return "output_value and size must be below 2^53"
+    return None
 
 
-def load_dataset(path: str | Path) -> tuple[list[ExtendedTransaction], LoadSummary]:
-    """Load a transaction dataset file.
+def _int64(fields: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
 
-    Rows with a zero output value are dropped (and counted); everything else
-    becomes an :class:`ExtendedTransaction` with lam=1 and no time investment,
-    in file order.
+
+def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
+    """Load a transaction dataset file as a :class:`TransactionTable`.
+
+    Blank lines are skipped and not counted. Rows with a zero output value
+    are dropped (and counted); every other row becomes a transaction with
+    lam=1 and no time investment, in file order. These rows are errors that
+    name the row (the header is row 1, blank lines are not counted): a
+    missing or non-integer field, a size or value outside int64, and, unless
+    the value is zero, a size below 1, a negative value, or a value or size
+    at or above 2^53.
     """
     path = Path(path)
-    txs: list[ExtendedTransaction] = []
-    dropped = 0
-    rows_read = 0
+    rows_read = dropped = 0
+    empty = np.zeros(0, dtype=np.int64)
     blocks: set[int] = set()
+    values, sizes, txid_lengths = [empty], [empty], [empty]
+    txids_utf8 = bytearray()
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        header = next(csv.reader(fh), [])
         for col in MANDATORY_COLUMNS:
             if col not in header:
                 raise ValueError(f"{path}: missing mandatory column {col!r}")
         extra_columns = tuple(c for c in header if c not in MANDATORY_COLUMNS)
-        for lineno, row in enumerate(reader, start=2):
-            rows_read += 1
+        for columns in _column_chunks(fh, header):
+            height_s, txids, size_s, value_s = columns
+            first_row = rows_read + 2
+            rows_read += len(txids)
             try:
-                height = int(row["block_height"])
-                size = int(row["size"])
-                value = int(row["output_value"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row {lineno}: {exc}") from None
-            blocks.add(height)
-            if value == 0:
-                dropped += 1
-                continue
-            if size < 1:
-                raise ValueError(f"{path}: malformed row {lineno}: size must be >= 1")
-            txs.append(
-                ExtendedTransaction(id=_txid_to_bytes(row["txid"]), value=value, size_bytes=size)
-            )
+                blocks.update(map(int, set(height_s)))
+                size, value = _int64(size_s), _int64(value_s)
+                keep = value != 0
+                bad = keep & ((size < 1) | (size >= MAX_EXACT_INT) | (value < 0) | (value >= MAX_EXACT_INT))
+                valid = not bad.any()
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                for lineno, record in enumerate(zip(*columns), start=first_row):
+                    reason = _row_error(record)
+                    if reason:
+                        raise ValueError(f"{path}: malformed row {lineno}: {reason}")
+            dropped += len(txids) - int(np.count_nonzero(keep))
+            values.append(value[keep])
+            sizes.append(size[keep])
+            kept_txids = list(itertools.compress(txids, keep))
+            joined = "".join(kept_txids)
+            txids_utf8 += joined.encode()
+            if not joined.isascii():
+                kept_txids = [t.encode() for t in kept_txids]
+            txid_lengths.append(np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids)))
+    lengths = np.concatenate(txid_lengths)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    table = TransactionTable(
+        np.concatenate(values),
+        np.concatenate(sizes),
+        txids_utf8=txids_utf8,
+        txid_offsets=offsets,
+    )
     summary = LoadSummary(
         path=str(path),
         rows_read=rows_read,
-        transactions=len(txs),
+        transactions=len(table),
         dropped_zero_value=dropped,
         num_blocks=len(blocks),
         extra_columns=extra_columns,
     )
-    return txs, summary
+    return table, summary
 
 
 def write_dataset(path: str | Path, rows: Iterable[DatasetRow]) -> None:

@@ -5,39 +5,165 @@ The lg(beta) range of the input set is divided into L equal sub-intervals
 A level may legitimately come out empty. The per-level summary statistics and
 the log-normal fit of lg(beta) feed the calibration formulas in
 :mod:`hbsim.economics`.
+
+A transaction set is held as columns (:class:`TransactionTable`), and the
+results are those of a per-transaction loop, bit for bit:
+
+- beta is ``value / (8 * size)``, one correctly rounded division;
+- the lg values that place transactions and set the cut points come from
+  ``math.log10`` (numpy's ``log10`` can differ from it in the last bit; the
+  log-normal fit and the histogram use numpy's);
+- ``beta_mean`` is a sequential left-to-right sum of the level's betas in
+  descending-beta order, divided by the count;
+- integer totals (value, size, bits) are exact Python ints, whatever their
+  size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ExtendedTransaction, value_per_bit
+from .core import ExtendedTransaction
 
 MODE_UNIFORM = "uniform"
 MODE_ROUNDED = "rounded"
+_ITER_ROWS = 1 << 12
 
 
-@dataclass(frozen=True)
+def txid_to_bytes(txid: str) -> bytes:
+    """A dataset txid as a transaction id: its hex decoding, else its UTF-8 bytes."""
+    try:
+        raw = bytes.fromhex(txid)
+        if raw:
+            return raw
+    except ValueError:
+        pass
+    return txid.encode("utf-8")
+
+
+class TransactionTable(Sequence[ExtendedTransaction]):
+    """A read-only transaction set stored as columns.
+
+    ``values`` and ``sizes`` hold one row per transaction (int64, or Python
+    ints past int64) and ``beta`` its value per bit. Rows come either from
+    kept :class:`ExtendedTransaction` objects (see :func:`_columns`) or from a
+    loaded dataset, whose txids stay as one UTF-8 text with a byte offset per
+    row; indexing and iteration then build each transaction on demand, with
+    lam=1 and no time investment.
+    """
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        sizes: np.ndarray,
+        beta: np.ndarray | None = None,
+        *,
+        objects: Sequence[ExtendedTransaction] | None = None,
+        txids_utf8: bytes | bytearray = b"",
+        txid_offsets: np.ndarray | None = None,
+    ):
+        if beta is None:
+            beta = values / (8 * sizes)
+        for column in (values, sizes, beta):
+            column.setflags(write=False)
+        self.values = values
+        self.sizes = sizes
+        self.beta = beta
+        self._objects = objects
+        self._txids = txids_utf8
+        self._offsets = txid_offsets
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def ids(self, rows: np.ndarray) -> list[bytes]:
+        """The transaction ids at ``rows``, in that order."""
+        if self._objects is not None:
+            return [self._objects[row].id for row in rows.tolist()]
+        txids = self._txids
+        starts = self._offsets[rows].tolist()
+        ends = self._offsets[rows + 1].tolist()
+        return [txid_to_bytes(txids[a:b].decode()) for a, b in zip(starts, ends)]
+
+    def take(self, rows: np.ndarray) -> tuple[ExtendedTransaction, ...]:
+        """The transactions at ``rows``, in that order."""
+        if self._objects is not None:
+            return tuple(self._objects[row] for row in rows.tolist())
+        return tuple(
+            ExtendedTransaction(id=i, value=v, size_bytes=s)
+            for i, v, s in zip(self.ids(rows), self.values[rows].tolist(), self.sizes[rows].tolist())
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self.take(np.arange(len(self))[index]))
+        return self.take(np.array([range(len(self))[index]]))[0]
+
+    def __iter__(self) -> Iterator[ExtendedTransaction]:
+        for start in range(0, len(self), _ITER_ROWS):
+            yield from self.take(np.arange(start, min(start + _ITER_ROWS, len(self))))
+
+
+def _int_column(ints: list[int]) -> np.ndarray:
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def _columns(txs: Iterable[ExtendedTransaction]) -> TransactionTable:
+    """``txs`` as a table; a plain collection keeps its objects as the rows.
+
+    Beta is divided per object in Python, so it stays exact for any integer
+    value and size.
+    """
+    if isinstance(txs, TransactionTable):
+        return txs
+    objects = tuple(txs)
+    return TransactionTable(
+        _int_column([t.value for t in objects]),
+        _int_column([t.size_bytes for t in objects]),
+        np.array([t.value / (8 * t.size_bytes) for t in objects], dtype=np.float64),
+        objects=objects,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Segmentation:
-    """L level lists plus the L+1 descending lg-beta cut points between them.
+    """L levels plus the L+1 descending lg-beta cut points between them.
 
     Membership rule: a transaction sits in level l iff
     ``boundaries[l] >= lg(beta) > boundaries[l+1]``, with the lowest boundary
     inclusive. A lg(beta) exactly on an interior cut point therefore belongs
     to the higher-beta level.
+
+    ``order`` lists the table's rows by descending beta, ties by id and then
+    row; level l is the run ``order[cuts[l]:cuts[l+1]]``.
     """
 
-    levels: tuple[tuple[ExtendedTransaction, ...], ...]
+    table: TransactionTable
+    order: np.ndarray
+    cuts: tuple[int, ...]
     boundaries: tuple[float, ...]
     mode: str
 
     @property
     def num_levels(self) -> int:
-        return len(self.levels)
+        return len(self.cuts) - 1
+
+    def rows(self, level: int) -> np.ndarray:
+        """Table rows of ``level``, by descending beta."""
+        return self.order[self.cuts[level] : self.cuts[level + 1]]
+
+    @cached_property
+    def levels(self) -> tuple[tuple[ExtendedTransaction, ...], ...]:
+        """Each level's transactions, in ``order``."""
+        return tuple(self.table.take(self.rows(l)) for l in range(self.num_levels))
 
 
 @dataclass(frozen=True)
@@ -98,17 +224,32 @@ def _boundaries(lg_max: float, step: float, num_levels: int) -> tuple[float, ...
     return tuple(lg_max - l * step for l in range(num_levels + 1))
 
 
+def _order_ties_by_id(table: TransactionTable, order: np.ndarray, ranked: np.ndarray) -> None:
+    """Sort each run of equal beta in ``order`` by transaction id, then row, in place."""
+    same = ranked[1:] == ranked[:-1]
+    if not same.any():
+        return
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = np.flatnonzero(tied)
+    run = np.r_[0, np.cumsum(ranked[at[1:]] != ranked[at[:-1]])]
+    rows = order[at]
+    order[at] = [row for *_, row in sorted(zip(run.tolist(), table.ids(rows), rows.tolist()))]
+
+
 def segment(
     num_levels: int,
     txs: Sequence[ExtendedTransaction],
     mode: str = MODE_UNIFORM,
 ) -> Segmentation:
-    """Partition ``txs`` into ``num_levels`` lists by descending value per bit.
+    """Partition ``txs`` into ``num_levels`` levels by descending value per bit.
 
-    The transactions are stable-sorted by beta descending (ties broken by id)
-    and assigned in one pass against the cut points. ``mode`` selects how the
-    interval step is computed: ``uniform`` spans exactly the observed lg-beta
-    range, ``rounded`` widens it to whole decades before dividing.
+    The transactions are sorted by beta descending, ties broken by id and
+    then by position in ``txs``. Each level ends at the first transaction
+    after its start whose lg(beta) falls below the next cut point. ``mode`` selects how the interval step is computed:
+    ``uniform`` spans exactly the observed lg-beta range, ``rounded`` widens
+    it to whole decades before dividing.
     """
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
@@ -116,68 +257,82 @@ def segment(
         raise ValueError("cannot segment an empty transaction set")
     if mode not in (MODE_UNIFORM, MODE_ROUNDED):
         raise ValueError(f"unknown segmentation mode {mode!r}")
-    for tx in txs:
-        if tx.value <= 0:
-            raise ValueError(f"transaction {tx.id.hex()} has zero value and cannot be segmented")
-
-    decorated = sorted(((value_per_bit(t), t) for t in txs), key=lambda p: (-p[0], p[1].id))
-    lg_max = math.log10(decorated[0][0])
-    lg_min = math.log10(decorated[-1][0])
+    table = _columns(txs)
+    order = np.argsort(-table.beta)
+    ranked = table.beta[order]
+    _order_ties_by_id(table, order, ranked)
+    order.setflags(write=False)
+    n = len(order)
+    lg = np.fromiter(map(math.log10, ranked), dtype=np.float64, count=n)
+    lg_max = float(lg[0])
+    lg_min = float(lg[-1])
     if mode == MODE_UNIFORM:
         step = (lg_max - lg_min) / num_levels
     else:
         step = (math.ceil(lg_max) - math.floor(lg_min)) / num_levels
     boundaries = _boundaries(lg_max, step, num_levels)
 
-    levels: list[list[ExtendedTransaction]] = [[] for _ in range(num_levels)]
-    level = 0
-    for beta, tx in decorated:
-        lg_beta = math.log10(beta)
-        while level < num_levels - 1 and lg_beta < boundaries[level + 1]:
-            level += 1
-        levels[level].append(tx)
-
+    cuts = [0]
+    for bound in boundaries[1:num_levels]:
+        below = lg[cuts[-1] :] < bound
+        cuts.append(cuts[-1] + int(below.argmax()) if below.any() else n)
+    cuts.append(n)
     return Segmentation(
-        levels=tuple(tuple(lvl) for lvl in levels),
-        boundaries=boundaries,
-        mode=mode,
+        table=table, order=order, cuts=tuple(cuts), boundaries=boundaries, mode=mode
+    )
+
+
+def _exact_sum(column: np.ndarray) -> int:
+    """Sum of a column of positive integers as a Python int, exact past int64."""
+    if column.dtype == object or len(column) * int(column.max()) >= 2**63:
+        return sum(column.tolist())
+    return int(column.sum())
+
+
+def _summary(beta: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> LevelSummary:
+    n = len(beta)
+    if not n:
+        return LevelSummary(0, None, None, None, None, None, None, 0, None, 0)
+    value_total = _exact_sum(values)
+    size_total = _exact_sum(sizes)
+    return LevelSummary(
+        count=n,
+        beta_min=float(beta.min()),
+        beta_max=float(beta.max()),
+        # add.accumulate runs strictly left to right, like a Python loop;
+        # a plain np.sum adds pairwise and can differ in the last bits.
+        beta_mean=float(np.add.accumulate(beta)[-1]) / n,
+        value_min=int(values.min()),
+        value_max=int(values.max()),
+        value_mean=value_total / n,
+        value_total=value_total,
+        size_mean_bytes=size_total / n,
+        bits_total=8 * size_total,
     )
 
 
 def summarize_level(txs: Iterable[ExtendedTransaction]) -> LevelSummary:
-    """Compute one level's summary row from its member transactions."""
-    txs = list(txs)
-    if not txs:
-        return LevelSummary(0, None, None, None, None, None, None, 0, None, 0)
-    betas = [value_per_bit(t) for t in txs]
-    values = [t.value for t in txs]
-    sizes = [t.size_bytes for t in txs]
-    n = len(txs)
-    return LevelSummary(
-        count=n,
-        beta_min=min(betas),
-        beta_max=max(betas),
-        beta_mean=sum(betas) / n,
-        value_min=min(values),
-        value_max=max(values),
-        value_mean=sum(values) / n,
-        value_total=sum(values),
-        size_mean_bytes=sum(sizes) / n,
-        bits_total=8 * sum(sizes),
-    )
+    """Compute one level's summary row from its member transactions, in their order."""
+    table = _columns(txs)
+    return _summary(table.beta, table.values, table.sizes)
 
 
 def level_stats(seg: Segmentation) -> LevelStats:
     """Per-level summary statistics of a segmentation."""
-    return LevelStats(tuple(summarize_level(lvl) for lvl in seg.levels))
+    table = seg.table
+    summaries = []
+    for l in range(seg.num_levels):
+        rows = seg.rows(l)
+        summaries.append(_summary(table.beta[rows], table.values[rows], table.sizes[rows]))
+    return LevelStats(tuple(summaries))
 
 
 def fit_lognormal(txs: Sequence[ExtendedTransaction]) -> LogNormalFit:
     """Fit lg(beta) of the transaction set with a normal (n-1 deviation)."""
-    positive = [t for t in txs if t.value > 0]
-    if len(positive) < 2:
+    beta = _columns(txs).beta
+    if len(beta) < 2:
         raise ValueError("need at least 2 positive-value transactions to fit")
-    lg = np.log10([value_per_bit(t) for t in positive])
+    lg = np.log10(beta)
     mu = float(np.sum(lg) / len(lg))
     sigma = float(np.sqrt(np.sum((lg - mu) ** 2) / (len(lg) - 1)))
     return LogNormalFit(mu=mu, sigma=sigma)
@@ -187,6 +342,5 @@ def lg_beta_histogram(
     txs: Sequence[ExtendedTransaction], bins: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density-normalized histogram of lg(beta); returns (bin_edges, densities)."""
-    lg = np.log10([value_per_bit(t) for t in txs if t.value > 0])
-    densities, edges = np.histogram(lg, bins=bins, density=True)
+    densities, edges = np.histogram(np.log10(_columns(txs).beta), bins=bins, density=True)
     return edges, densities

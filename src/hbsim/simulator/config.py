@@ -17,6 +17,10 @@ BROADCAST_WHOLE_MULTIBLOCK = "whole-multiblock"
 BROADCAST_HYBRID_BATCH = "hybrid-batch"
 BROADCASTS = (BROADCAST_PER_SUBBLOCK, BROADCAST_WHOLE_MULTIBLOCK, BROADCAST_HYBRID_BATCH)
 
+# Tree and concurrent runs keep per-shard maps over all 2^L - 1 shards and
+# walk them every round, so their level count is capped (65,535 shards).
+MAX_SHARDED_LEVELS = 16
+
 
 @dataclass(frozen=True)
 class Miner:
@@ -91,6 +95,11 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
+        if self.mode in (MODE_TREE, MODE_CONCURRENT) and self.num_levels > MAX_SHARDED_LEVELS:
+            raise ValueError(
+                f"{self.mode} mode keeps 2^L - 1 shards; num_levels must be <= "
+                f"{MAX_SHARDED_LEVELS}, got {self.num_levels}"
+            )
         if self.mode == MODE_HYBRID and self.num_levels < 2:
             raise ValueError("hybrid mode needs a legacy level plus at least one multi level")
         if self.duration <= 0.0:

@@ -33,7 +33,7 @@ from ..economics import (
     reward_split_tree,
     time_per_level,
 )
-from ..segmentation import LevelStats, LevelSummary, segment, summarize_level
+from ..segmentation import LevelStats, LevelSummary, level_stats, segment
 from ..sharding import (
     ShardCoord,
     mfn_download_rate,
@@ -218,7 +218,7 @@ class _Run:
             value, size = draw_value_size(cfg.workload, self.rng)
             sample.append(ExtendedTransaction(id=self._random_id(), value=value, size_bytes=size))
         seg = segment(cfg.num_levels, sample)
-        stats = LevelStats(tuple(summarize_level(lvl) for lvl in seg.levels))
+        stats = level_stats(seg)
         for l, row in enumerate(stats):
             if row.count == 0:
                 raise ValueError(

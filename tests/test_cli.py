@@ -120,6 +120,16 @@ class TestValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mode_args", [["--mode", "tree"], ["--mode", "concurrent", "--chain-times"] + ["600"] * 17]
+    )
+    def test_oversize_sharded_config_exits_2(self, mode_args, tmp_path, capsys):
+        """17 levels is one past the cap: SimConfig refuses it before a run starts."""
+        argv = ["simulate", "--levels", "17", "--periods", "1", "--out-dir", str(tmp_path)]
+        assert run_cli(argv + mode_args, out=io.StringIO()) == 2
+        assert "num_levels must be <= 16" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tree_mode_via_cli(self, tmp_path):
         code, text = invoke(
             ["simulate", "--mode", "tree", "--levels", "2", "--seed", "3", "--periods", "20",

@@ -6,6 +6,7 @@ import random
 import pytest
 from scipy import stats as scipy_stats
 
+from hbsim.core import ExtendedTransaction
 from hbsim.dataio import (
     DatasetRow,
     WorkloadSpec,
@@ -19,7 +20,7 @@ from hbsim.dataio import (
     write_dataset,
     write_report,
 )
-from hbsim.segmentation import fit_lognormal
+from hbsim.segmentation import TransactionTable, fit_lognormal, txid_to_bytes
 from conftest import make_tx
 
 
@@ -76,6 +77,104 @@ class TestLoadDataset:
         assert len(txs) == 1
         assert summary.extra_columns == ("n_inputs", "is_segwit")
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "block_height,txid,size,output_value\n\n1,aa,10,5\n\n\n2,bb,20,7\n\n"
+            "3,cc,x,9\n"
+        )
+        with pytest.raises(ValueError, match="malformed row 4:"):
+            load_dataset(path)
+        path.write_text("block_height,txid,size,output_value\n\n1,aa,10,5\n\n\n2,bb,20,7\n\n")
+        txs, summary = load_dataset(path)
+        assert summary.rows_read == 2 and summary.transactions == 2
+        assert [(t.value, t.size_bytes) for t in txs] == [(5, 10), (7, 20)]
+
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            'block_height,txid,size,output_value,note\r\n'
+            '"1","aa","10","5","x"\r\n'
+            '2,"tx,with ""comma""",20,7,"two\r\nlines"\r\n'
+            '3,cc,30,9,y\r\n'
+        )
+        txs, summary = load_dataset(path)
+        assert [t.id for t in txs] == [b"\xaa", b'tx,with "comma"', b"\xcc"]
+        assert [(t.value, t.size_bytes) for t in txs] == [(5, 10), (7, 20), (9, 30)]
+        assert summary.num_blocks == 3 and summary.extra_columns == ("note",)
+        path.write_text('block_height,txid,size,output_value\n"1","aa","10","5"\n')
+        txs, _ = load_dataset(path)
+        assert [(t.id, t.value, t.size_bytes) for t in txs] == [(b"\xaa", 5, 10)]
+
+    def test_lone_carriage_return_ends_a_row(self, tmp_path):
+        """As in csv.reader, a bare CR inside an unquoted field ends the row."""
+        path = tmp_path / "d.csv"
+        path.write_text("block_height,txid,size,output_value\n1,a\rb,10,5\n", newline="")
+        with pytest.raises(ValueError, match="malformed row 2:"):
+            load_dataset(path)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("block_height,txid,size,output_value\n1,aa,10,5\n2,bb,20\n")
+        with pytest.raises(ValueError, match="malformed row 3:"):
+            load_dataset(path)
+
+    def test_negative_value_rejected_with_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, HEADER, [[1, "aa", 10, 5], [2, "bb", 20, -7]])
+        with pytest.raises(ValueError, match="malformed row 3: output_value must be >= 0"):
+            load_dataset(path)
+
+    def test_zero_value_row_with_zero_size_is_dropped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, HEADER, [[1, "aa", 0, 0], [2, "bb", 20, 7]])
+        txs, summary = load_dataset(path)
+        assert summary.dropped_zero_value == 1 and summary.rows_read == 2
+        assert [t.value for t in txs] == [7]
+        write_csv(path, HEADER, [[1, "aa", 0, 3]])
+        with pytest.raises(ValueError, match="malformed row 2: size must be >= 1"):
+            load_dataset(path)
+
+    def test_value_at_or_above_2_53_rejected(self, tmp_path):
+        """beta divides value as a binary float, exact only below 2^53."""
+        path = tmp_path / "d.csv"
+        write_csv(path, HEADER, [[1, "aa", 10, 2**53 - 1]])
+        txs, _ = load_dataset(path)
+        assert txs[0].value == 2**53 - 1
+        for value in (2**53, 2**64):
+            write_csv(path, HEADER, [[1, "aa", 10, 5], [1, "bb", 10, value]])
+            with pytest.raises(ValueError, match="malformed row 3:"):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("chunk_chars", [1, 7, 64, 1 << 20])
+    def test_chunking_and_parsers_agree_with_dictreader(self, tmp_path, monkeypatch, chunk_chars):
+        """Plain chunks are split directly and the first quoted one hands the
+        rest of the file to csv.reader (so does a blank line); the result must
+        not depend on where chunks end, even inside a CRLF line end or a
+        quoted field. The file mixes CRLF and LF and has no final newline."""
+        rng = random.Random(chunk_chars)
+        lines = ["block_height,txid,size,output_value,extra"]
+        for i in range(300):
+            txid = f"{rng.getrandbits(64):016x}"
+            if i == 200:
+                txid = '"quoted\r\nid, with comma"'
+            value = rng.choice([0, 1, rng.randrange(1, 10**9)])
+            lines.append(f"{i // 7},{txid},{rng.randrange(1, 900)},{value},{i}")
+            if i in (120, 250):
+                lines.append("")
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\r\n".join(lines[:150]) + "\n" + "\r\n".join(lines[150:])).encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            expected = [r for r in csv.DictReader(fh)]
+        monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+        txs, summary = load_dataset(path)
+        kept = [r for r in expected if int(r["output_value"])]
+        assert summary.rows_read == len(expected)
+        assert summary.num_blocks == len({int(r["block_height"]) for r in expected})
+        assert [(t.id, t.value, t.size_bytes) for t in txs] == [
+            (txid_to_bytes(r["txid"]), int(r["output_value"]), int(r["size"])) for r in kept
+        ]
+
     def test_write_load_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
         rows = [
@@ -88,6 +187,18 @@ class TestLoadDataset:
         assert summary.transactions == 2
         again, _ = load_dataset(path)
         assert [t.id for t in again] == [t.id for t in txs]
+
+    def test_table_is_a_read_only_sequence(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset(path, [DatasetRow(1, "ab" * 32, 250, 999), DatasetRow(1, "x", 111, 1)])
+        txs, _ = load_dataset(path)
+        assert isinstance(txs, TransactionTable) and txs and len(txs) == 2
+        assert txs[-1] == txs[1] == ExtendedTransaction(id=b"x", value=1, size_bytes=111)
+        assert txs[:1] == [txs[0]] and txs[1] in txs
+        with pytest.raises(IndexError):
+            txs[2]
+        with pytest.raises(ValueError):
+            txs.values[0] = 5
 
 
 class TestGenerateWorkload:

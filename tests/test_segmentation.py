@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbsim.core import value_per_bit
+from hbsim.core import ExtendedTransaction, value_per_bit
+from hbsim.dataio import DatasetRow, load_dataset, write_dataset
 from hbsim.segmentation import (
     MODE_ROUNDED,
     MODE_UNIFORM,
@@ -13,8 +14,11 @@ from hbsim.segmentation import (
     level_stats,
     lg_beta_histogram,
     segment,
+    summarize_level,
+    txid_to_bytes,
 )
 from conftest import make_tx
+from scalar_segmentation import scalar_segment, scalar_summarize_level
 
 
 def brute_force_level(lg_beta, boundaries):
@@ -149,6 +153,15 @@ class TestLevelStats:
                     sum(value_per_bit(t) for t in lvl) / len(lvl)
                 )
 
+    def test_totals_exact_past_int64(self):
+        txs = [make_tx(2**62 + 1, 1) for _ in range(3)] + [make_tx(2**64, 2)]
+        summary = summarize_level(txs)
+        assert summary.value_total == 3 * (2**62 + 1) + 2**64
+        assert summary.value_max == 2**64 and summary.value_min == 2**62 + 1
+        assert repr(summary) == repr(scalar_summarize_level(txs))
+        big = summarize_level(txs[:3])
+        assert big.value_total == 3 * (2**62 + 1)
+
     def test_empty_level_flagged_absent(self):
         seg = segment(3, [make_tx(8000, 1), make_tx(8, 1)])
         summary = level_stats(seg)[1]
@@ -182,3 +195,79 @@ class TestLogNormalFit:
         edges, densities = lg_beta_histogram(txs, bins=100)
         widths = np.diff(edges)
         assert abs(float(np.sum(densities * widths)) - 1.0) < 1e-9
+
+
+# Few distinct values and sizes, so many transactions share a beta exactly
+# (8/1 == 16/2 == 32/4), and a small id pool, so ties in beta meet ties in id.
+TIE_VALUES = [8, 16, 24, 32, 80, 800, 8000, 3, 7, 10**12 + 1, 2**53 - 1]
+TIE_SIZES = [1, 2, 3, 4, 250]
+PLAIN_TXIDS = ["aa", "ab", "00ff", "tx-1", "zz", ""]
+QUOTED_TXIDS = PLAIN_TXIDS + ['a,"b"']
+
+
+def _fields(txs):
+    return [(t.id, t.value, t.size_bytes) for t in txs]
+
+
+def assert_matches_scalar_oracle(txs, reference, num_levels, mode):
+    """segment and level_stats on ``txs`` equal the scalar loops on ``reference``
+    (the same transactions as objects), bit for bit: repr tells 1 from 1.0,
+    -0.0 from 0.0 and a Python float from a numpy scalar."""
+    seg = segment(num_levels, txs, mode=mode)
+    levels, boundaries = scalar_segment(num_levels, reference, mode)
+    assert repr(seg.boundaries) == repr(boundaries)
+    assert [_fields(lvl) for lvl in seg.levels] == [_fields(lvl) for lvl in levels]
+    assert [repr(s) for s in level_stats(seg)] == [repr(scalar_summarize_level(l)) for l in levels]
+    assert repr(summarize_level(txs)) == repr(scalar_summarize_level(reference))
+    return seg, levels
+
+
+class TestScalarOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TIE_VALUES + [2**64 + 8]),
+                st.sampled_from(TIE_SIZES),
+                st.sampled_from(PLAIN_TXIDS),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from([MODE_UNIFORM, MODE_ROUNDED]),
+    )
+    def test_objects(self, rows, num_levels, mode):
+        txs = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
+        seg, levels = assert_matches_scalar_oracle(txs, txs, num_levels, mode)
+        # a plain list keeps its own objects as the level members
+        for got, want in zip(seg.levels, levels):
+            assert all(a is b for a, b in zip(got, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=7), st.sampled_from([MODE_UNIFORM, MODE_ROUNDED]))
+    def test_table_loaded_from_csv(self, tmp_path_factory, data, num_levels, mode):
+        txids = data.draw(st.sampled_from([PLAIN_TXIDS, QUOTED_TXIDS]))
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(TIE_VALUES + [0]),
+                    st.sampled_from(TIE_SIZES),
+                    st.sampled_from(txids),
+                ),
+                min_size=1,
+                max_size=40,
+            ).filter(lambda rs: any(v for v, _, _ in rs))
+        )
+        path = tmp_path_factory.mktemp("oracle") / "d.csv"
+        write_dataset(
+            path,
+            [DatasetRow(7 + i % 3, t, s, v, extras=(("n_outputs", "1"),)) for i, (v, s, t) in enumerate(rows)],
+        )
+        table, summary = load_dataset(path)
+        reference = [
+            ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows if v
+        ]
+        assert summary.dropped_zero_value == len(rows) - len(reference)
+        assert _fields(table) == _fields(reference)
+        assert_matches_scalar_oracle(table, reference, num_levels, mode)

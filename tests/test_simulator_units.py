@@ -9,6 +9,7 @@ import pytest
 from hbsim.core import ExtendedTransaction
 from hbsim.dataio import WorkloadSpec
 from hbsim.sharding import shard_path
+from hbsim.simulator.config import MAX_SHARDED_LEVELS
 from hbsim.simulator import (
     CarriedValues,
     ChainState,
@@ -377,6 +378,15 @@ class TestCoords:
             small_config(mode="hybrid", num_levels=1)
         with pytest.raises(ValueError, match="concurrent"):
             small_config(chain_target_times=(1.0, 2.0, 3.0))
+
+    def test_sharded_level_cap(self):
+        """Tree and concurrent configs past the shard-map cap are refused at
+        construction; the cap itself and the unsharded modes stay allowed."""
+        for mode, extra in (("tree", {"miners": equal_miners(4)}), ("concurrent", {})):
+            small_config(mode=mode, num_levels=MAX_SHARDED_LEVELS, **extra)
+            with pytest.raises(ValueError, match="num_levels must be <= 16"):
+                small_config(mode=mode, num_levels=MAX_SHARDED_LEVELS + 1, **extra)
+        small_config(mode="flat", num_levels=MAX_SHARDED_LEVELS + 1)
 
     def test_equal_miners(self):
         miners = equal_miners(4, total_hashrate=100.0)
