@@ -221,8 +221,10 @@ class WorkloadSpec:
 
     ``size_mode`` is one of ``fixed``, ``lognormal`` or ``empirical``;
     ``size_params`` carries (bytes,), (mu, sigma) of ln(bytes), or the sample
-    population respectively. ``level_override_fraction`` of users pin their
-    own level instead of accepting the default.
+    population respectively. A fixed or empirical size is taken as ``int``
+    and must be at least 1 byte, so every drawn size is; log-normal draws
+    are floored at 1. ``level_override_fraction`` of users pin their own
+    level instead of accepting the default.
     """
 
     rate: float
@@ -239,6 +241,12 @@ class WorkloadSpec:
             raise ValueError("lg_beta_sigma must be >= 0")
         if self.size_mode not in ("fixed", "lognormal", "empirical"):
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
+        if self.size_mode != "lognormal":
+            if not self.size_params:
+                raise ValueError(f"{self.size_mode} size_params must hold at least one size")
+            bad = [size for size in self.size_params if int(size) < 1]
+            if bad:
+                raise ValueError(f"{self.size_mode} sizes must be >= 1 byte, got {bad[0]}")
         if not (0.0 <= self.level_override_fraction <= 1.0):
             raise ValueError("level_override_fraction must be in [0, 1]")
 

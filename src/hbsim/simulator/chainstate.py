@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -102,6 +103,9 @@ class ChainState:
         self._buckets: dict[int, list[bytes]] = {}
         self._bucket_keys: list[int] = []
         self._pos: dict[bytes, tuple[int, int]] = {}
+        # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
+        # grand total appended; None once _add or _remove has moved a count
+        self._starts: list[int] | None = None
         self.tips: dict[tuple[int, int], bytes] = {}
         self.total_unspent = 0
         self.fees_collected = 0
@@ -125,6 +129,7 @@ class ChainState:
             bisect.insort(self._bucket_keys, key)
         self._pos[output_id] = (key, len(bucket))
         bucket.append(output_id)
+        self._starts = None
         self.total_unspent += value
 
     def _remove(self, output_id: bytes) -> int:
@@ -138,6 +143,7 @@ class ChainState:
         if not bucket:
             del self._buckets[key]
             self._bucket_keys.remove(key)
+        self._starts = None
         self.total_unspent -= value
         return value
 
@@ -160,24 +166,30 @@ class ChainState:
         boundary bucket (same bit length as ``needed``) can hold too-small
         values, so after a few misses sampling moves strictly above it, and
         as a last resort the boundary bucket is scanned directly.
+
+        One sample draws ``rng.randrange`` over the outputs in the buckets
+        from ``start`` on and takes the drawn position in bucket-key order,
+        found by bisecting the cached bucket starts. The starts are rebuilt
+        only after the registry changed, so a run of picks between two
+        blocks shares one rebuild.
         """
         floor_key = needed.bit_length()
         keys = self._bucket_keys
         buckets = self._buckets
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = list(
+                itertools.accumulate((len(buckets[key]) for key in keys), initial=0)
+            )
+        end = starts[-1]
 
         def sample(start: int) -> bytes | None:
-            total = 0
-            for key in keys[start:]:
-                total += len(buckets[key])
-            if total == 0:
+            first = starts[start]
+            if first == end:
                 return None
-            pick = rng.randrange(total)
-            for key in keys[start:]:
-                bucket = buckets[key]
-                if pick < len(bucket):
-                    return bucket[pick]
-                pick -= len(bucket)
-            return None
+            pick = first + rng.randrange(end - first)
+            i = bisect.bisect_right(starts, pick, start) - 1
+            return buckets[keys[i]][pick - starts[i]]
 
         start = bisect.bisect_left(keys, floor_key)
         for _ in range(tries):

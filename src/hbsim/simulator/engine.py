@@ -18,7 +18,6 @@ import math
 import operator
 import random
 import statistics
-from dataclasses import dataclass
 
 from ..core import SATOSHI_PER_BTC, ExtendedTransaction
 from ..dataio import draw_value_size
@@ -92,17 +91,57 @@ def propagation_delay(size_bytes: int, config: SimConfig) -> float:
     return ms / 1000.0
 
 
-@dataclass
-class MempoolEntry:
-    tx: ExtendedTransaction
-    fee_sat: int
-    seq: int
-    size_bits: int = 0
-    sort_key: tuple = ()
+class ArrivalTx:
+    """A transaction drawn by the engine's arrival path.
 
-    def __post_init__(self) -> None:
-        self.size_bits = self.tx.size_bits
-        self.sort_key = (-self.fee_sat / self.size_bits, self.seq)
+    It has the attributes of :class:`~hbsim.core.ExtendedTransaction` that
+    the engine, ``validate_block``, ``apply_block``, the shard helpers and
+    ``SubBlock.digest`` read, but it runs none of that type's checks: they
+    hold by construction. ``draw_value_size`` floors the value at 1 satoshi,
+    ``WorkloadSpec`` admits no size below 1 byte, every arrival spends the
+    one input ``ChainState.pick_at_least`` found, and ``lam`` is 1 and
+    ``eta`` unset. ``validate_block`` still checks every block these records
+    enter: missing, spent or re-spent inputs, overdrafts, multi-input spends
+    below the root, and (in sharded modes) the shard of each input.
+    """
+
+    __slots__ = ("id", "value", "size_bytes", "input_ref", "requested_level")
+
+    lam = 1.0
+    eta = None
+    extra_input_refs = ()
+
+    def __init__(self, id: bytes, value: int, size_bytes: int, input_ref: bytes,
+                 requested_level: int | None = None) -> None:
+        self.id = id
+        self.value = value
+        self.size_bytes = size_bytes
+        self.input_ref = input_ref
+        self.requested_level = requested_level
+
+    @property
+    def size_bits(self) -> int:
+        return 8 * self.size_bytes
+
+    @property
+    def n_inputs(self) -> int:
+        return 1 if self.input_ref is not None else 0
+
+
+class MempoolEntry:
+    """A pending transaction with its fee and arrival sequence number.
+
+    ``sort_key`` orders by fee per bit, highest first, then by arrival.
+    """
+
+    __slots__ = ("tx", "fee_sat", "seq", "size_bits", "sort_key")
+
+    def __init__(self, tx: ExtendedTransaction | ArrivalTx, fee_sat: int, seq: int) -> None:
+        self.tx = tx
+        self.fee_sat = fee_sat
+        self.seq = seq
+        self.size_bits = size_bits = tx.size_bits
+        self.sort_key = (-fee_sat / size_bits, seq)
 
 
 def take_by_fee_rate(
@@ -136,7 +175,7 @@ class _LevelWindow:
         self.block_count = 0
         self.dt_sum = 0.0
 
-    def add_tx(self, tx: ExtendedTransaction) -> None:
+    def add_tx(self, tx: ExtendedTransaction | ArrivalTx) -> None:
         beta = tx.value / tx.size_bits
         self.tx_count += 1
         self.beta_sum += beta
@@ -346,15 +385,9 @@ class _Run:
             self.txs_skipped += 1
             return
         self.reserved.add(input_ref)
-        tx = ExtendedTransaction(
-            id=self._random_id(),
-            value=value,
-            size_bytes=size,
-            input_ref=input_ref,
-            requested_level=level if overridden else None,
-        )
+        tx = ArrivalTx(self._random_id(), value, size, input_ref, level if overridden else None)
         self.seq += 1
-        self.mempool[level].append(MempoolEntry(tx=tx, fee_sat=fee, seq=self.seq))
+        self.mempool[level].append(MempoolEntry(tx, fee, self.seq))
 
     def _drain_arrivals(self, until: float) -> None:
         while self._next_arrival < until:

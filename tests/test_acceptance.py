@@ -131,7 +131,7 @@ def test_criterion_7_dataset_reproduction():
     with criterion(7, "dataset reproduces the six-level counts and c_eta within 3%"):
         txs, summary = load_dataset(DATASET_PATH)
         seg = segment(6, txs)
-        counts = tuple(len(level) for level in seg.levels)
+        counts = tuple(len(seg.rows(l)) for l in range(6))
         assert counts == (615, 24967, 220097, 571652, 130420, 1861)
         stats = level_stats(seg)
         c_eta = compute_c_eta_flat(stats, summary.num_blocks)

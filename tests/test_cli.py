@@ -130,6 +130,22 @@ class TestValidation:
         assert "num_levels must be <= 16" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--mode", "flat", "--levels", "3", "--periods", "1"], ["gen", "--duration", "60"]]
+    )
+    def test_zero_tx_bytes_exits_2_before_any_draw(self, command, tmp_path, capsys, monkeypatch):
+        from hbsim.simulator import engine
+
+        def no_draw(*args):
+            raise AssertionError("a transaction was drawn")
+
+        monkeypatch.setattr(dataio, "draw_value_size", no_draw)
+        monkeypatch.setattr(engine, "draw_value_size", no_draw)
+        argv = command + ["--tx-bytes", "0", "--out-dir", str(tmp_path)]
+        assert run_cli(argv, out=io.StringIO()) == 2
+        assert "fixed sizes must be >= 1 byte, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tree_mode_via_cli(self, tmp_path):
         code, text = invoke(
             ["simulate", "--mode", "tree", "--levels", "2", "--seed", "3", "--periods", "20",

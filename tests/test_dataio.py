@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import re
 
 import pytest
 from scipy import stats as scipy_stats
@@ -10,6 +11,7 @@ from hbsim.core import ExtendedTransaction
 from hbsim.dataio import (
     DatasetRow,
     WorkloadSpec,
+    draw_value_size,
     export_beta_histogram,
     export_mfn_download,
     export_optimal_levels,
@@ -199,6 +201,39 @@ class TestLoadDataset:
             txs[2]
         with pytest.raises(ValueError):
             txs.values[0] = 5
+
+
+class TestWorkloadSpecSizes:
+    """Fixed and empirical sizes below 1 byte are refused when the spec is built,
+    so no draw can return one."""
+
+    @pytest.mark.parametrize(
+        "mode, params, message",
+        [
+            ("fixed", (0,), "fixed sizes must be >= 1 byte, got 0"),
+            ("fixed", (-5,), "fixed sizes must be >= 1 byte, got -5"),
+            ("fixed", (0.5,), "fixed sizes must be >= 1 byte, got 0.5"),
+            ("empirical", (250, 0, 400), "empirical sizes must be >= 1 byte, got 0"),
+            ("empirical", (250, -3), "empirical sizes must be >= 1 byte, got -3"),
+            # a bad size a 4,000-draw bootstrap would almost never reach
+            ("empirical", (400,) * 100_000 + (0,), "empirical sizes must be >= 1 byte, got 0"),
+            ("fixed", (), "fixed size_params must hold at least one size"),
+            ("empirical", (), "empirical size_params must hold at least one size"),
+        ],
+    )
+    def test_rejected(self, mode, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WorkloadSpec(rate=1.0, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode=mode, size_params=params)
+
+    @pytest.mark.parametrize(
+        "mode, params", [("fixed", (1,)), ("empirical", (1, 2, 900)), ("lognormal", (-5.0, 0.5))]
+    )
+    def test_every_draw_at_least_one_byte(self, mode, params):
+        spec = WorkloadSpec(rate=1.0, lg_beta_mu=-6.0, lg_beta_sigma=1.0, size_mode=mode, size_params=params)
+        rng = random.Random(5)
+        draws = [draw_value_size(spec, rng) for _ in range(2000)]
+        assert min(size for _, size in draws) == 1
+        assert min(value for value, _ in draws) == 1
 
 
 class TestGenerateWorkload:

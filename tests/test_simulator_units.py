@@ -8,7 +8,7 @@ import pytest
 
 from hbsim.core import ExtendedTransaction
 from hbsim.dataio import WorkloadSpec
-from hbsim.sharding import shard_path
+from hbsim.sharding import shard_path, tx_shard_index
 from hbsim.simulator.config import MAX_SHARDED_LEVELS
 from hbsim.simulator import (
     CarriedValues,
@@ -251,6 +251,37 @@ def block_at(coord, txs, fees, carried=None, seq=0):
         size_bits=640 + sum(t.size_bits for t in txs),
         carried=carried,
     )
+
+
+class TestArrivalTx:
+    """The engine's arrival records read like the public transaction type."""
+
+    FIELDS = ("id", "value", "size_bytes", "size_bits", "lam", "eta", "input_ref",
+              "extra_input_refs", "n_inputs", "requested_level")
+
+    def test_parity_with_extended_transaction(self):
+        workload = WorkloadSpec(rate=0.1, lg_beta_mu=3.0, lg_beta_sigma=1.0, level_override_fraction=0.5)
+        run = engine._FlatRun(small_config(workload=workload))
+        entries = [entry for pool in run.mempool for entry in pool]
+        records = [entry.tx for entry in entries]
+        assert all(type(r) is engine.ArrivalTx for r in records)
+        assert {r.requested_level is None for r in records} == {True, False}
+        public = [
+            ExtendedTransaction(id=r.id, value=r.value, size_bytes=r.size_bytes, input_ref=r.input_ref,
+                                requested_level=r.requested_level)
+            for r in records
+        ]
+        for record, tx in zip(records, public):
+            assert [getattr(record, f) for f in self.FIELDS] == [getattr(tx, f) for f in self.FIELDS]
+            for level in range(4):
+                assert tx_shard_index(level, record) == tx_shard_index(level, tx)
+        fees = [entry.fee_sat for entry in entries]
+        from_records = block_at(flat_coord(0), records, fees)
+        from_public = block_at(flat_coord(0), public, fees)
+        assert from_records.size_bits == from_public.size_bits
+        assert from_records.digest() == from_public.digest()
+        assert validate_block(from_records, run.state, check_shard=False)
+        assert validate_block(from_public, run.state, check_shard=False)
 
 
 class TestValidateBlock:
