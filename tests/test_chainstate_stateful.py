@@ -77,7 +77,8 @@ class ChainStateMachine(RuleBasedStateMachine):
             fee = data.draw(st.integers(0, held - 1))
             value = data.draw(st.integers(1, held - fee))
             record = data.draw(RECORDS)
-            txs.append(record(id=self.fresh_id(), value=value, size_bytes=data.draw(st.integers(1, 900)), input_ref=ref))
+            size = data.draw(st.integers(1, 900))
+            txs.append(record(id=self.fresh_id(), value=value, size_bytes=size, input_ref=ref))
             fees.append(fee)
         return txs, fees
 
@@ -101,7 +102,8 @@ class ChainStateMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.state.unspent)
     @rule(data=st.data())
     def apply_valid_block(self, data):
-        refs = data.draw(st.lists(st.sampled_from(sorted(self.state.unspent)), min_size=1, max_size=6, unique=True))
+        outputs = st.sampled_from(sorted(self.state.unspent))
+        refs = data.draw(st.lists(outputs, min_size=1, max_size=6, unique=True))
         if len(refs) >= 2 and data.draw(st.booleans()):
             # a two-input spend, allowed at level 0 only
             first, second, refs = refs[0], refs[1], refs[2:]

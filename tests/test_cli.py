@@ -131,7 +131,8 @@ class TestValidation:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command", [["simulate", "--mode", "flat", "--levels", "3", "--periods", "1"], ["gen", "--duration", "60"]]
+        "command",
+        [["simulate", "--mode", "flat", "--levels", "3", "--periods", "1"], ["gen", "--duration", "60"]],
     )
     def test_zero_tx_bytes_exits_2_before_any_draw(self, command, tmp_path, capsys, monkeypatch):
         from hbsim.simulator import engine
