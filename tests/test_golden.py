@@ -6,7 +6,7 @@ reach the paths those four never take: the per-subblock and hybrid-batch
 broadcast policies, log-normal and empirical transaction sizes, user-chosen
 levels, and a bounded child batch in concurrent mode. ``ANALYSIS_COMMANDS``
 run the dataset commands on rows with exact ties in beta, zero-value rows and
-an extra column.
+an extra column. ``GEN_DIGEST`` pins the file ``hbsim gen`` writes.
 
 The determinism tests elsewhere compare two runs of the same code, so they
 cannot notice a refactor that changes the report. These digests can. A change
@@ -177,5 +177,23 @@ def test_analysis_digest(case, tmp_path):
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == expected, (
         f"{case} output changed; digests were pinned on {PINNED_ON}, "
+        f"this is {platform.platform()}, CPython {platform.python_version()}"
+    )
+
+
+# -- dataset generator ----------------------------------------------------------
+
+GEN_ARGV = ["gen", "--rate", "3", "--duration", "2000", "--seed", "17", "--tx-bytes", "250", "--target", "120"]
+GEN_ROWS = 5994
+GEN_DIGEST = "ec59a20b7a132e25890676ae301ddb8d8ed13409b70bf3eb714fc89a7e4c1ab7"
+
+
+def test_gen_digest(tmp_path):
+    out = io.StringIO()
+    assert run_cli(GEN_ARGV + ["--out-dir", str(tmp_path), "--out", "gen.csv"], out=out) == 0
+    assert out.getvalue().startswith(f"{GEN_ROWS} transactions -> ")
+    digest = hashlib.sha256((tmp_path / "gen.csv").read_bytes()).hexdigest()
+    assert digest == GEN_DIGEST, (
+        f"gen output changed; digests were pinned on {PINNED_ON}, "
         f"this is {platform.platform()}, CPython {platform.python_version()}"
     )
