@@ -260,18 +260,15 @@ def cmd_gen(args, out) -> int:
         rate=args.rate, lg_beta_mu=args.mu, lg_beta_sigma=args.sigma,
         size_mode="fixed", size_params=(args.tx_bytes,),
     )
-    events = dataio.generate_workload(spec, rng, args.duration)
-    rows = []
-    for t, tx in events:
-        height = int(t // args.target)
-        rows.append(
-            dataio.DatasetRow(
-                block_height=height, txid=tx.id.hex(), size=tx.size_bytes, output_value=tx.value
-            )
+    rows = (
+        dataio.DatasetRow(
+            block_height=int(t // args.target), txid=tx.id.hex(), size=tx.size_bytes, output_value=tx.value
         )
+        for t, tx in dataio.generate_workload(spec, rng, args.duration)
+    )
     path = _out_path(args, args.out)
-    dataio.write_dataset(path, rows)
-    out.write(f"{len(rows)} transactions -> {path}\n")
+    count = dataio.write_dataset(path, rows)
+    out.write(f"{count} transactions -> {path}\n")
     return 0
 
 

@@ -197,11 +197,18 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     return table, summary
 
 
-def write_dataset(path: str | Path, rows: Iterable[DatasetRow]) -> None:
-    """Write dataset rows in the canonical column order."""
+def write_dataset(path: str | Path, rows: Iterable[DatasetRow]) -> int:
+    """Write dataset rows in the canonical column order, as they come.
+
+    The first row's extras name the extra columns. Returns the row count.
+    """
     path = Path(path)
-    rows = list(rows)
-    extra_names = list(rows[0].extras and [k for k, _ in rows[0].extras] or []) if rows else []
+    rows = iter(rows)
+    first = next(rows, None)
+    extra_names = [k for k, _ in first.extras] if first else []
+    if first is not None:
+        rows = itertools.chain((first,), rows)
+    count = 0
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -211,8 +218,10 @@ def write_dataset(path: str | Path, rows: Iterable[DatasetRow]) -> None:
                     [row.block_height, row.txid, row.size, row.output_value]
                     + [v for _, v in row.extras]
                 )
+                count += 1
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path}: {exc}") from exc
+    return count
 
 
 @dataclass(frozen=True)
@@ -220,11 +229,11 @@ class WorkloadSpec:
     """Synthetic workload: Poisson arrivals with log-normal value per bit.
 
     ``size_mode`` is one of ``fixed``, ``lognormal`` or ``empirical``;
-    ``size_params`` carries (bytes,), (mu, sigma) of ln(bytes), or the sample
-    population respectively. A fixed or empirical size is taken as ``int``
-    and must be at least 1 byte, so every drawn size is; log-normal draws
-    are floored at 1. ``level_override_fraction`` of users pin their own
-    level instead of accepting the default.
+    ``size_params`` carries (bytes,), (mu, sigma) of ln(bytes) with
+    sigma >= 0, or the sample population respectively. A fixed or empirical
+    size is taken as ``int`` and must be at least 1 byte, so every drawn size
+    is; log-normal draws are floored at 1. ``level_override_fraction`` of
+    users pin their own level instead of accepting the default.
     """
 
     rate: float
@@ -241,7 +250,12 @@ class WorkloadSpec:
             raise ValueError("lg_beta_sigma must be >= 0")
         if self.size_mode not in ("fixed", "lognormal", "empirical"):
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
-        if self.size_mode != "lognormal":
+        if self.size_mode == "lognormal":
+            if len(self.size_params) != 2:
+                raise ValueError(f"lognormal size_params must be (mu, sigma), got {self.size_params!r}")
+            if self.size_params[1] < 0.0:
+                raise ValueError(f"lognormal size_params sigma must be >= 0, got {self.size_params[1]}")
+        else:
             if not self.size_params:
                 raise ValueError(f"{self.size_mode} size_params must hold at least one size")
             bad = [size for size in self.size_params if int(size) < 1]
@@ -274,18 +288,17 @@ def generate_workload(
     duration: float,
     input_refs: Sequence[bytes] | None = None,
     num_levels: int | None = None,
-) -> list[tuple[float, ExtendedTransaction]]:
-    """Generate (arrival_time, transaction) events over ``duration`` seconds.
+) -> Iterator[tuple[float, ExtendedTransaction]]:
+    """Yield (arrival_time, transaction) events over ``duration`` seconds, as drawn.
 
     Values and sizes come from :func:`draw_value_size`. Input references
     come from ``input_refs`` when supplied, otherwise they are synthetic.
     """
-    events: list[tuple[float, ExtendedTransaction]] = []
     t = 0.0
     while True:
         t += rng.expovariate(spec.rate)
         if t >= duration:
-            break
+            return
         value, size = draw_value_size(spec, rng)
         tx_id = rng.getrandbits(256).to_bytes(32, "big")
         if input_refs:
@@ -296,19 +309,9 @@ def generate_workload(
         if num_levels and spec.level_override_fraction > 0.0:
             if rng.random() < spec.level_override_fraction:
                 requested = rng.randrange(num_levels)
-        events.append(
-            (
-                t,
-                ExtendedTransaction(
-                    id=tx_id,
-                    value=value,
-                    size_bytes=size,
-                    input_ref=ref,
-                    requested_level=requested,
-                ),
-            )
+        yield t, ExtendedTransaction(
+            id=tx_id, value=value, size_bytes=size, input_ref=ref, requested_level=requested
         )
-    return events
 
 
 def write_report(report, path: str | Path) -> None:

@@ -21,6 +21,28 @@ BROADCASTS = (BROADCAST_PER_SUBBLOCK, BROADCAST_WHOLE_MULTIBLOCK, BROADCAST_HYBR
 # walk them every round, so their level count is capped (65,535 shards).
 MAX_SHARDED_LEVELS = 16
 
+# Concurrent runs mine about duration * sum_l 2^l / cadence_l blocks, and
+# each costs a validate/apply and a reward mint at the root. A config whose
+# expected block count passes this bound is refused before it runs; the
+# largest configs in the test suite expect about 98,000 blocks.
+MAX_CONCURRENT_BLOCKS = 1_000_000
+
+
+def check_concurrent_blocks(duration: float, cadence) -> None:
+    """Refuse a concurrent run expected to mine more than ``MAX_CONCURRENT_BLOCKS``.
+
+    ``cadence`` holds the expected block time of each level's chains; level
+    l has 2^l chains.
+    """
+    expected = duration * sum(2**l / t for l, t in enumerate(cadence))
+    if expected > MAX_CONCURRENT_BLOCKS:
+        times = ", ".join(f"{t:.3g}" for t in cadence)
+        raise ValueError(
+            f"concurrent run expects {expected:,.0f} blocks over {duration:g} s at chain times "
+            f"({times}) s; the bound is {MAX_CONCURRENT_BLOCKS:,}: shorten the run or lengthen "
+            f"the chain times"
+        )
+
 
 @dataclass(frozen=True)
 class Miner:
@@ -131,6 +153,7 @@ class SimConfig:
                 raise ValueError("chain_target_times needs one entry per level")
             if any(t <= 0 for t in self.chain_target_times):
                 raise ValueError("chain_target_times must be positive")
+            check_concurrent_blocks(self.duration, self.chain_target_times)
 
     @property
     def effective_broadcast(self) -> str:

@@ -62,6 +62,7 @@ from .config import (
     MODE_HYBRID,
     MODE_TREE,
     SimConfig,
+    check_concurrent_blocks,
 )
 from .report import EpochTrace, SimReport
 
@@ -132,9 +133,11 @@ class MempoolEntry:
     """A pending transaction with its fee and arrival sequence number.
 
     ``sort_key`` orders by fee per bit, highest first, then by arrival.
+    Concurrent mode stamps ``arrival``, the arrival time its latencies are
+    measured from; the other modes leave it unset.
     """
 
-    __slots__ = ("tx", "fee_sat", "seq", "size_bits", "sort_key")
+    __slots__ = ("tx", "fee_sat", "seq", "size_bits", "sort_key", "arrival")
 
     def __init__(self, tx: ExtendedTransaction | ArrivalTx, fee_sat: int, seq: int) -> None:
         self.tx = tx
@@ -365,7 +368,11 @@ class _Run:
             level += 1
         return level
 
-    def _generate_arrival(self) -> None:
+    def _generate_arrival(self) -> int | None:
+        """Draw one arrival and append its entry to its level's pool.
+
+        Returns that level, or None when no input could fund the arrival.
+        """
         cfg = self.cfg
         spec = cfg.workload
         value, size = draw_value_size(spec, self.rng)
@@ -383,11 +390,12 @@ class _Run:
         input_ref = self.state.pick_at_least(value + fee, self.rng, self.reserved)
         if input_ref is None:
             self.txs_skipped += 1
-            return
+            return None
         self.reserved.add(input_ref)
         tx = ArrivalTx(self._random_id(), value, size, input_ref, level if overridden else None)
         self.seq += 1
         self.mempool[level].append(MempoolEntry(tx, fee, self.seq))
+        return level
 
     def _drain_arrivals(self, until: float) -> None:
         while self._next_arrival < until:
@@ -859,7 +867,13 @@ class _TreeRun(_Run):
 
 class _ConcurrentRun(_Run):
     """Every (level, shard) chain mines continuously at its schedule cadence;
-    parents batch-reference all not-yet-referenced child blocks."""
+    parents batch-reference all not-yet-referenced child blocks.
+
+    Latencies are folded as they become known: a transaction's inclusion
+    latency when its block is mined, and its root-path latency when a level-0
+    block settles the subtree holding its block. Only unsettled blocks are
+    kept, with their child references and their transactions' arrival times.
+    """
 
     def run(self) -> SimReport:
         cfg = self.cfg
@@ -870,13 +884,11 @@ class _ConcurrentRun(_Run):
         unreferenced: dict[tuple[int, int], list[bytes]] = {c: [] for c in chains}
         referenced: set[bytes] = set()
         references_mined = 0
-        block_children: dict[bytes, tuple[bytes, ...]] = {}
-        block_mined_at: dict[bytes, float] = {}
-        block_chain: dict[bytes, tuple[int, int]] = {}
-        tx_arrival: dict[bytes, float] = {}
-        tx_included_at: dict[bytes, float] = {}
-        tx_block: dict[bytes, bytes] = {}
-        tx_level: dict[bytes, int] = {}
+        root_digests: set[bytes] = set()
+        # digest -> (level, child refs, arrival times of the block's transactions)
+        unsettled: dict[bytes, tuple[int, tuple[bytes, ...], list[float]]] = {}
+        inclusion: list[list[float]] = [[] for _ in range(num_levels)]
+        rootpath: list[list[float]] = [[] for _ in range(num_levels)]
         chain_dt_sum = {c: 0.0 for c in chains}
         chain_blocks = {c: 0 for c in chains}
         chain_last = {c: 0.0 for c in chains}
@@ -884,6 +896,7 @@ class _ConcurrentRun(_Run):
             cadence = list(cfg.chain_target_times)
         else:
             cadence = list(self.expected_times)
+            check_concurrent_blocks(cfg.duration, cadence)
         chain_pool_limit = [
             max(32, self.pool_limits[l] // 2**l) for l in range(num_levels)
         ]
@@ -894,18 +907,38 @@ class _ConcurrentRun(_Run):
             heapq.heappush(heap, (dt, counter, chain))
             counter += 1
 
+        def route(level: int, entry: MempoolEntry, arrival: float) -> None:
+            entry.arrival = arrival
+            chain_mempool[(level, tx_shard_index(level, entry.tx))].append(entry)
+
+        # the preseeded backlog joins the chains with the first drawn arrival
+        backlog = [(level, entry) for level, pool in enumerate(self.mempool) for entry in pool]
+        for pool in self.mempool:
+            pool.clear()
+
         # arrivals route straight to their chain; intercept the base mempool
         def drain(until: float) -> None:
+            nonlocal backlog
             while self._next_arrival < until:
                 arrival_time = self._next_arrival
-                self._generate_arrival()
+                level = self._generate_arrival()
                 self._next_arrival += self.rng.expovariate(cfg.workload.rate)
-                for level in range(num_levels):
-                    while self.mempool[level]:
-                        entry = self.mempool[level].pop()
-                        chain_mempool[(level, tx_shard_index(level, entry.tx))].append(entry)
-                        tx_arrival[entry.tx.id] = arrival_time
-                        tx_level[entry.tx.id] = level
+                if level is not None:
+                    route(level, self.mempool[level].pop(), arrival_time)
+                for level, entry in backlog:
+                    route(level, entry, arrival_time)
+                backlog = ()
+
+        def settle(digest: bytes, t_root: float) -> None:
+            """Fold the root-path latencies of a level-0 block's unsettled subtree."""
+            stack = [digest]
+            while stack:
+                block = unsettled.pop(stack.pop(), None)
+                if block is None:
+                    continue
+                level, refs, arrivals = block
+                rootpath[level].extend(t_root - arrival for arrival in arrivals)
+                stack.extend(refs)
 
         def mine(chain: tuple[int, int], now: float, sweep: bool):
             nonlocal references_mined
@@ -935,19 +968,18 @@ class _ConcurrentRun(_Run):
             digest = block.digest()
             references_mined += len(refs)
             referenced.update(refs)
-            block_children[digest] = tuple(refs)
-            block_mined_at[digest] = now
-            block_chain[digest] = chain
+            arrivals = [e.arrival for e in chosen]
+            inclusion[level].extend(now - arrival for arrival in arrivals)
+            unsettled[digest] = (level, block.child_refs, arrivals)
             if level > 0:
                 unreferenced[chain].append(digest)
-            for entry in chosen:
-                tx_included_at[entry.tx.id] = now
-                tx_block[entry.tx.id] = digest
             if not sweep:
                 chain_dt_sum[chain] += dt
                 chain_blocks[chain] += 1
             chain_last[chain] = now
             if chain == (0, 0):
+                root_digests.add(digest)
+                settle(digest, now)
                 self._mint_shard_rewards(cadence, f"conc/{block.seq}/0")
 
         while heap and heap[0][0] < cfg.duration:
@@ -969,31 +1001,8 @@ class _ConcurrentRun(_Run):
                     self.t = t_sweep
                     mine((level, shard), t_sweep, sweep=True)
 
-        # root-path times: a block settles when a level-0 block transitively refers to it
-        t_root: dict[bytes, float] = {}
-        stack = []
-        for digest, chain in block_chain.items():
-            if chain == (0, 0):
-                t_root[digest] = block_mined_at[digest]
-                stack.append(digest)
-        while stack:
-            parent = stack.pop()
-            for ref in block_children[parent]:
-                t_root[ref] = t_root[parent]
-                stack.append(ref)
-
-        orphans = sum(
-            1 for digest, chain in block_chain.items() if chain != (0, 0) and digest not in referenced
-        )
-        inclusion: dict[int, list[float]] = {l: [] for l in range(num_levels)}
-        rootpath: dict[int, list[float]] = {l: [] for l in range(num_levels)}
-        for tx_id, included_at in tx_included_at.items():
-            level = tx_level[tx_id]
-            arrival = tx_arrival[tx_id]
-            inclusion[level].append(included_at - arrival)
-            digest = tx_block[tx_id]
-            if digest in t_root:
-                rootpath[level].append(t_root[digest] - arrival)
+        # orphans: blocks no parent referenced; they and their subtrees stay unsettled
+        orphans = len(set().union(*unreferenced.values()) - referenced)
 
         def summarize(values: list[float]) -> dict | None:
             if not values:
@@ -1022,7 +1031,8 @@ class _ConcurrentRun(_Run):
             "inclusion_latency": {str(l): summarize(inclusion[l]) for l in range(num_levels)},
             "root_path_latency": {str(l): summarize(rootpath[l]) for l in range(num_levels)},
             "audit": {
-                "blocks": len(block_chain),
+                # distinct digests: every mined block is a root, referenced or an orphan
+                "blocks": len(referenced) + orphans + len(root_digests),
                 "orphans": orphans,
                 # each repeat reference of a child block counts once
                 "multi_referenced": references_mined - len(referenced),

@@ -130,6 +130,20 @@ class TestValidation:
         assert "num_levels must be <= 16" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_oversize_concurrent_run_exits_2_before_it_starts(self, tmp_path, capsys, monkeypatch):
+        """Chain times of 1 s at three levels over 50,000 periods expect 210 million blocks."""
+        import hbsim.cli
+
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(hbsim.cli, "simulate", no_run)
+        argv = ["simulate", "--mode", "concurrent", "--levels", "3", "--periods", "50000",
+                "--chain-times", "1", "1", "1", "--out-dir", str(tmp_path)]
+        assert run_cli(argv, out=io.StringIO()) == 2
+        assert "the bound is 1,000,000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command",
         [["simulate", "--mode", "flat", "--levels", "3", "--periods", "1"], ["gen", "--duration", "60"]],

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import random
@@ -190,6 +191,16 @@ class TestLoadDataset:
         again, _ = load_dataset(path)
         assert [t.id for t in again] == [t.id for t in txs]
 
+    def test_write_streams_any_iterable(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = (DatasetRow(650000 + i, f"{i:064x}", 250, 999 + i, (("n_outputs", "2"),)) for i in range(3))
+        assert write_dataset(path, rows) == 3
+        lines = path.read_text().splitlines()
+        assert lines[0] == "block_height,txid,size,output_value,n_outputs"
+        assert lines[3] == f"650002,{2:064x},250,1001,2"
+        assert write_dataset(path, iter(())) == 0
+        assert path.read_text().splitlines() == ["block_height,txid,size,output_value"]
+
     def test_table_is_a_read_only_sequence(self, tmp_path):
         path = tmp_path / "d.csv"
         write_dataset(path, [DatasetRow(1, "ab" * 32, 250, 999), DatasetRow(1, "x", 111, 1)])
@@ -204,8 +215,9 @@ class TestLoadDataset:
 
 
 class TestWorkloadSpecSizes:
-    """Fixed and empirical sizes below 1 byte are refused when the spec is built,
-    so no draw can return one."""
+    """Fixed and empirical sizes below 1 byte, and log-normal parameters other
+    than (mu, sigma >= 0), are refused when the spec is built, so no draw can
+    return a size below 1 byte or fail on its parameters."""
 
     @pytest.mark.parametrize(
         "mode, params, message",
@@ -219,6 +231,10 @@ class TestWorkloadSpecSizes:
             ("empirical", (400,) * 100_000 + (0,), "empirical sizes must be >= 1 byte, got 0"),
             ("fixed", (), "fixed size_params must hold at least one size"),
             ("empirical", (), "empirical size_params must hold at least one size"),
+            ("lognormal", (6.0,), "lognormal size_params must be (mu, sigma), got (6.0,)"),
+            ("lognormal", (), "lognormal size_params must be (mu, sigma), got ()"),
+            ("lognormal", (6.0, 0.4, 1.0), "lognormal size_params must be (mu, sigma), got (6.0, 0.4, 1.0)"),
+            ("lognormal", (6.0, -0.1), "lognormal size_params sigma must be >= 0, got -0.1"),
         ],
     )
     def test_rejected(self, mode, params, message):
@@ -252,7 +268,7 @@ class TestGenerateWorkload:
     def test_generator_fitter_round_trip(self):
         rng = random.Random(2)
         spec = self.spec(rate=1000.0)
-        events = generate_workload(spec, rng, 100.0)
+        events = list(generate_workload(spec, rng, 100.0))
         assert len(events) > 50_000
         fit = fit_lognormal([t for _, t in events])
         assert abs(fit.mu - 3.0) < 0.02
@@ -261,7 +277,7 @@ class TestGenerateWorkload:
     def test_poisson_arrival_count(self):
         rng = random.Random(3)
         rate, duration = 7.0, 2000.0
-        events = generate_workload(self.spec(rate=rate), rng, duration)
+        events = list(generate_workload(self.spec(rate=rate), rng, duration))
         expected = rate * duration
         assert abs(len(events) - expected) < 3 * math.sqrt(expected)
         times = [t for t, _ in events]
@@ -284,7 +300,7 @@ class TestGenerateWorkload:
     def test_level_overrides(self):
         rng = random.Random(6)
         spec = self.spec(level_override_fraction=0.5)
-        events = generate_workload(spec, rng, 200.0, num_levels=4)
+        events = list(generate_workload(spec, rng, 200.0, num_levels=4))
         overridden = [t.requested_level for _, t in events if t.requested_level is not None]
         assert 0.3 < len(overridden) / len(events) < 0.7
         assert set(overridden) <= {0, 1, 2, 3}
@@ -293,6 +309,16 @@ class TestGenerateWorkload:
         a = generate_workload(self.spec(), random.Random(7), 100.0)
         b = generate_workload(self.spec(), random.Random(7), 100.0)
         assert [(t, tx.id) for t, tx in a] == [(t, tx.id) for t, tx in b]
+
+    def test_lazy(self):
+        """Events are drawn as they are taken, so an endless stream can be sliced."""
+        rng = random.Random(8)
+        events = list(itertools.islice(generate_workload(self.spec(), rng, math.inf), 5))
+        assert len(events) == 5
+        eager = random.Random(8)
+        assert [tx.id for _, tx in events] == [
+            tx.id for _, tx in itertools.islice(generate_workload(self.spec(), eager, 100.0), 5)
+        ]
 
 
 class TestReports:

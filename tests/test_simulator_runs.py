@@ -294,6 +294,33 @@ class TestConcurrentRun:
         assert audit["multi_referenced"] == 0
         assert audit["blocks"] > 0
 
+    def test_every_inclusion_settles_without_orphans(self, concurrent_report):
+        """With no orphan, every block reaches a level-0 block, so each level
+        has one root-path latency per inclusion latency."""
+        conc = concurrent_report.concurrent
+        assert conc["audit"]["orphans"] == 0
+        for l in range(concurrent_report.num_levels):
+            assert conc["root_path_latency"][str(l)]["count"] == conc["inclusion_latency"][str(l)]["count"]
+
+    def test_unsettled_blocks_add_no_root_path_latency(self):
+        """Parents that take two child blocks at a time leave blocks unreferenced
+        at the end; their transactions have an inclusion latency only."""
+        cfg = SimConfig(
+            mode="concurrent",
+            num_levels=3,
+            duration=600.0 * 200,
+            seed=9,
+            workload=WORKLOAD,
+            retarget_window=32,
+            max_child_batch=2,
+            chain_target_times=(429.0, 124.0, 44.5),
+        )
+        conc = simulate(cfg).concurrent
+        assert conc["audit"]["orphans"] > 0
+        inclusion, root_path = conc["inclusion_latency"], conc["root_path_latency"]
+        assert root_path["0"]["count"] == inclusion["0"]["count"]
+        assert root_path["1"]["count"] < inclusion["1"]["count"]
+
     def test_repeated_child_reference_is_counted(self, monkeypatch):
         """With one digest per chain, every level-1 block after a chain's first
         re-references the same digest; the audit counts each repeat."""

@@ -9,7 +9,7 @@ import pytest
 from hbsim.core import ExtendedTransaction
 from hbsim.dataio import WorkloadSpec
 from hbsim.sharding import shard_path, tx_shard_index
-from hbsim.simulator.config import MAX_SHARDED_LEVELS
+from hbsim.simulator.config import MAX_CONCURRENT_BLOCKS, MAX_SHARDED_LEVELS
 from hbsim.simulator import (
     CarriedValues,
     ChainState,
@@ -418,6 +418,29 @@ class TestCoords:
             with pytest.raises(ValueError, match="num_levels must be <= 16"):
                 small_config(mode=mode, num_levels=MAX_SHARDED_LEVELS + 1, **extra)
         small_config(mode="flat", num_levels=MAX_SHARDED_LEVELS + 1)
+
+    def test_concurrent_block_bound_with_chain_times(self):
+        """Two levels at chain times (2, 1) s expect 2.5 blocks per second, so
+        400,000 s reach the bound exactly; anything longer is refused."""
+        assert MAX_CONCURRENT_BLOCKS == 1_000_000
+        times = (2.0, 1.0)
+        small_config(mode="concurrent", num_levels=2, chain_target_times=times, duration=400_000.0)
+        with pytest.raises(ValueError, match="expects 1,000,001 blocks .* the bound is 1,000,000"):
+            small_config(mode="concurrent", num_levels=2, chain_target_times=times, duration=400_000.4)
+
+    def test_concurrent_block_bound_with_bootstrap_cadence(self, monkeypatch):
+        """Without chain times the cadence comes from the bootstrap (a 0.15 s
+        deepest level here, about 26 blocks per second): 100 periods are refused
+        before any block is mined, while one period starts mining."""
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was mined")
+
+        monkeypatch.setattr(engine, "validate_block", no_block)
+        with pytest.raises(ValueError, match="the bound is 1,000,000"):
+            engine.simulate(small_config(mode="concurrent", duration=600.0 * 100))
+        with pytest.raises(AssertionError, match="a block was mined"):
+            engine.simulate(small_config(mode="concurrent", duration=600.0))
 
     def test_equal_miners(self):
         miners = equal_miners(4, total_hashrate=100.0)
