@@ -205,8 +205,9 @@ def write_dataset(path: str | Path, rows: Iterable[DatasetRow]) -> int:
     path = Path(path)
     rows = iter(rows)
     first = next(rows, None)
-    extra_names = [k for k, _ in first.extras] if first else []
+    extra_names = []
     if first is not None:
+        extra_names = [k for k, _ in first.extras]
         rows = itertools.chain((first,), rows)
     count = 0
     try:

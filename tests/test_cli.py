@@ -132,12 +132,11 @@ class TestValidation:
 
     def test_oversize_concurrent_run_exits_2_before_it_starts(self, tmp_path, capsys, monkeypatch):
         """Chain times of 1 s at three levels over 50,000 periods expect 210 million blocks."""
-        import hbsim.cli
 
         def no_run(config):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(hbsim.cli, "simulate", no_run)
+        monkeypatch.setattr("hbsim.cli.simulate", no_run)
         argv = ["simulate", "--mode", "concurrent", "--levels", "3", "--periods", "50000",
                 "--chain-times", "1", "1", "1", "--out-dir", str(tmp_path)]
         assert run_cli(argv, out=io.StringIO()) == 2
