@@ -390,6 +390,37 @@ class TestApplyBlock:
         assert state.total_unspent == 900
 
 
+class TestSubBlockDigest:
+    def test_digest_bytes_are_pinned(self):
+        """No report holds a block digest, so the golden digests cannot see a
+        change to how a block is hashed; this pins the bytes of one block
+        with children, a carried header and two transactions. Level and
+        shard differ, so swapping them in the header changes the digest."""
+        carried = CarriedValues(
+            value_avg=12.5,
+            subtree_sum=40.25,
+            beta_level_sums=(1.5, 2.5, 3.5),
+            bits_level_sums=(800.0, 1600.0, 2400.0),
+            nonce=bytes(range(32)),
+        )
+        txs = (
+            ExtendedTransaction(id=b"\x11" * 32, value=5_000, size_bytes=250, input_ref=b"\x21" * 32),
+            ExtendedTransaction(id=b"\x12" * 32, value=9_000, size_bytes=400, input_ref=b"\x22" * 32),
+        )
+        block = SubBlock(
+            coord=shard_path_coord(2, 1),
+            seq=7,
+            parent_ref=b"\x33" * 32,
+            child_refs=(b"\x44" * 32, b"\x55" * 32),
+            txs=txs,
+            fees_sat=(120, 340),
+            mined_at=1234.5,
+            size_bits=640 + 8 * (250 + 400),
+            carried=carried,
+        )
+        assert block.digest().hex() == "d3d53c4687190694f34e156ef8a2c221c8eda61a9f4989f3cfb7eab4872399bd"
+
+
 class TestCoords:
     def test_flat_coord_branch(self):
         coord = flat_coord(3)
