@@ -8,7 +8,7 @@ bit. Derived reals use ordinary binary floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SATOSHI_PER_BTC = 100_000_000
 TARGET_BLOCK_TIME_S = 600.0
@@ -87,23 +87,6 @@ class NetworkParams:
             raise ValueError("difficulty must be positive")
         if self.retarget_window < 1:
             raise ValueError("retarget_window must be >= 1")
-
-
-@dataclass(frozen=True)
-class EconomicConstants:
-    """Calibration constants of the fee/security economy.
-
-    ``gamma`` (BTC*s/H, commitment per unit hashrate) is carried for
-    completeness but never enters a computation; no accepted value exists.
-    """
-
-    c_eta: float
-    gamma: float | None = None
-    satoshi_per_btc: int = field(default=SATOSHI_PER_BTC)
-
-    def __post_init__(self) -> None:
-        if self.c_eta <= 0.0:
-            raise ValueError("c_eta must be positive")
 
 
 def value_per_bit(tx: ExtendedTransaction) -> float:

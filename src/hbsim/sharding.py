@@ -95,17 +95,6 @@ def shard_path(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None 
     return ShardCoord(level=level, index=shard, branch=tuple(branch))
 
 
-def shard_path_coord(level: int, shard: int) -> ShardCoord:
-    """Reconstruct the unique root-to-shard branch of a coordinate."""
-    branch = [shard]
-    s = shard
-    for _ in range(level):
-        s //= 2
-        branch.append(s)
-    branch.reverse()
-    return ShardCoord(level=level, index=shard, branch=tuple(branch))
-
-
 def shard_index(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None = None) -> int:
     """The shard index ``shard_path(level, identifier, nonce).index``, without the branch.
 

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..core import ExtendedTransaction
-from ..sharding import E_MULTI_INPUT_SHARDED, ShardCoord, tx_shard_index
+from ..sharding import E_MULTI_INPUT_SHARDED, tx_shard_index
 
 E_DOUBLE_SPEND = "E_DOUBLE_SPEND"
 E_SHARD_MISMATCH = "E_SHARD_MISMATCH"
@@ -26,11 +26,6 @@ E_BAD_CARRIED_AVERAGE = "E_BAD_CARRIED_AVERAGE"
 
 class ConservationError(AssertionError):
     """The value-conservation identity failed; this is always a simulator bug."""
-
-
-def flat_coord(level: int) -> ShardCoord:
-    """The (level, 0) coordinate used when levels are not sharded."""
-    return ShardCoord(level=level, index=0, branch=(0,) * (level + 1))
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,10 @@ class CarriedValues:
 
 @dataclass
 class SubBlock:
-    """One mined block at a tree coordinate."""
+    """One mined block at a (level, shard) tree coordinate; unsharded levels use shard 0."""
 
-    coord: ShardCoord
+    level: int
+    shard: int
     seq: int
     parent_ref: bytes
     child_refs: tuple[bytes, ...]
@@ -72,7 +68,7 @@ class SubBlock:
     def digest(self) -> bytes:
         if self._digest is None:
             h = hashlib.sha256()
-            h.update(struct.pack("<iiqd", self.coord.level, self.coord.index, self.seq, self.mined_at))
+            h.update(struct.pack("<iiqd", self.level, self.shard, self.seq, self.mined_at))
             h.update(self.parent_ref)
             for ref in self.child_refs:
                 h.update(ref)
@@ -255,10 +251,10 @@ def validate_block(
     seen_inputs: set[bytes] = set()
     for tx, fee in zip(block.txs, block.fees_sat):
         refs = (tx.input_ref, *tx.extra_input_refs)
-        if tx.extra_input_refs and block.coord.level > 0:
+        if tx.extra_input_refs and block.level > 0:
             return _reject(
                 E_MULTI_INPUT_SHARDED,
-                f"transaction {tx.id.hex()} has {tx.n_inputs} inputs at level {block.coord.level}",
+                f"transaction {tx.id.hex()} has {tx.n_inputs} inputs at level {block.level}",
             )
         total_in = 0
         for ref in refs:
@@ -278,12 +274,12 @@ def validate_block(
                 E_DOUBLE_SPEND, f"transaction {tx.id.hex()} spends more than its inputs hold"
             )
         if check_shard:
-            index = tx_shard_index(block.coord.level, tx, nonce)
-            if index != block.coord.index:
+            index = tx_shard_index(block.level, tx, nonce)
+            if index != block.shard:
                 return _reject(
                     E_SHARD_MISMATCH,
                     f"transaction {tx.id.hex()} maps to shard {index} "
-                    f"but the block is at shard {block.coord.index}",
+                    f"but the block is at shard {block.shard}",
                 )
     if expected_carried is not None:
         got = block.carried
@@ -309,5 +305,5 @@ def apply_block(block: SubBlock, state: ChainState) -> None:
         if change > 0:
             state._add(change_output_id(tx.id), change)
         state.fees_collected += fee
-    state.tips[(block.coord.level, block.coord.index)] = block.digest()
+    state.tips[(block.level, block.shard)] = block.digest()
     state.check_conservation()

@@ -18,6 +18,7 @@ import math
 import operator
 import random
 import statistics
+from dataclasses import replace
 
 from ..core import SATOSHI_PER_BTC, ExtendedTransaction
 from ..dataio import draw_value_size
@@ -34,13 +35,11 @@ from ..economics import (
 )
 from ..segmentation import LevelStats, LevelSummary, level_stats, segment
 from ..sharding import (
-    ShardCoord,
     mfn_download_rate,
     mfn_store_rate,
     nonce_step,
     rate_to_mb_per_day,
     shard_index,
-    shard_path_coord,
     tx_shard_index,
     tx_shard_indices,
 )
@@ -49,7 +48,6 @@ from .chainstate import (
     CarriedValues,
     SubBlock,
     apply_block,
-    flat_coord,
     reward_output_id,
     validate_block,
 )
@@ -165,48 +163,18 @@ def take_by_fee_rate(
 
 
 class _LevelWindow:
-    """Per-level accumulators over one retarget window."""
+    """Per-level accumulators over one retarget window: what the retarget reads."""
 
     def __init__(self) -> None:
         self.tx_count = 0
         self.beta_sum = 0.0
-        self.beta_min = math.inf
-        self.beta_max = -math.inf
-        self.value_sum = 0
-        self.size_sum = 0
         self.block_bits = 0
         self.block_count = 0
-        self.dt_sum = 0.0
-
-    def add_tx(self, tx: ExtendedTransaction | ArrivalTx) -> None:
-        beta = tx.value / tx.size_bits
-        self.tx_count += 1
-        self.beta_sum += beta
-        self.beta_min = min(self.beta_min, beta)
-        self.beta_max = max(self.beta_max, beta)
-        self.value_sum += tx.value
-        self.size_sum += tx.size_bytes
-
-    def add_block(self, bits: int, dt: float) -> None:
-        self.block_bits += bits
-        self.block_count += 1
-        self.dt_sum += dt
 
     def summary(self) -> LevelSummary:
-        if self.tx_count == 0:
-            return LevelSummary(0, None, None, None, None, None, None, 0, None, self.block_bits)
-        return LevelSummary(
-            count=self.tx_count,
-            beta_min=self.beta_min,
-            beta_max=self.beta_max,
-            beta_mean=self.beta_sum / self.tx_count,
-            value_min=None,
-            value_max=None,
-            value_mean=self.value_sum / self.tx_count,
-            value_total=self.value_sum,
-            size_mean_bytes=self.size_sum / self.tx_count,
-            bits_total=self.block_bits,
-        )
+        """The window as a level summary with only ``count``, ``beta_mean`` and ``bits_total`` set."""
+        beta_mean = self.beta_sum / self.tx_count if self.tx_count else None
+        return LevelSummary(self.tx_count, None, None, beta_mean, None, None, None, 0, None, self.block_bits)
 
 
 class _Run:
@@ -286,18 +254,7 @@ class _Run:
         ]
         capped_stats = LevelStats(
             tuple(
-                LevelSummary(
-                    count=row.count,
-                    beta_min=row.beta_min,
-                    beta_max=row.beta_max,
-                    beta_mean=row.beta_mean,
-                    value_min=row.value_min,
-                    value_max=row.value_max,
-                    value_mean=row.value_mean,
-                    value_total=row.value_total,
-                    size_mean_bytes=row.size_mean_bytes,
-                    bits_total=int(round(capped_bits[l] * num_blocks)),
-                )
+                replace(row, bits_total=int(round(capped_bits[l] * num_blocks)))
                 for l, row in enumerate(stats)
             )
         )
@@ -414,10 +371,11 @@ class _Run:
 
     # -- block helpers ----------------------------------------------------------
 
-    def _block(self, coord: ShardCoord, seq: int, parent_ref: bytes, chosen: list[MempoolEntry],
+    def _block(self, level: int, shard: int, seq: int, parent_ref: bytes, chosen: list[MempoolEntry],
                mined_at: float, bits: int, child_refs: tuple[bytes, ...] = ()) -> SubBlock:
         return SubBlock(
-            coord=coord,
+            level=level,
+            shard=shard,
             seq=seq,
             parent_ref=parent_ref,
             child_refs=child_refs,
@@ -434,7 +392,7 @@ class _Run:
         bits = self.cfg.header_bits + sum(e.size_bits for e in chosen)
         dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
         self.t += dt
-        block = self._block(flat_coord(level), seq, parent_ref, chosen, self.t, bits)
+        block = self._block(level, 0, seq, parent_ref, chosen, self.t, bits)
         self._accept(block, chosen, dt)
         return block
 
@@ -459,12 +417,6 @@ class _Run:
             self.t += propagation_delay(batch_bytes, self.cfg)
         return parent_ref
 
-    def _shard_coords(self) -> dict[tuple[int, int], ShardCoord]:
-        """The coordinate of every (level, shard) of the binary tree, root first."""
-        return {
-            (l, s): shard_path_coord(l, s) for l in range(self.cfg.num_levels) for s in range(2**l)
-        }
-
     def _accept(self, block: SubBlock, entries: list[MempoolEntry], dt: float, nonce=None,
                 check_shard=False, expected_carried=None) -> None:
         result = validate_block(
@@ -475,13 +427,16 @@ class _Run:
             raise AssertionError(f"engine produced an invalid block: {result.detail}")
         apply_block(block, self.state)
         self.blocks_accepted += 1
-        level = block.coord.level
+        level = block.level
         window = self.windows[level]
         for entry in entries:
-            window.add_tx(entry.tx)
-            self.reserved.discard(entry.tx.input_ref)
-            self.txs_confirmed += 1
-        window.add_block(block.size_bits, dt)
+            tx = entry.tx
+            window.beta_sum += tx.value / tx.size_bits
+            self.reserved.discard(tx.input_ref)
+        window.tx_count += len(entries)
+        self.txs_confirmed += len(entries)
+        window.block_bits += block.size_bits
+        window.block_count += 1
         self.level_dt_sums[level] += dt
         self.level_dt_counts[level] += 1
 
@@ -690,8 +645,7 @@ class _TreeRun(_Run):
     def run(self) -> SimReport:
         cfg = self.cfg
         num_levels = cfg.num_levels
-        coords = self._shard_coords()
-        shards = list(coords)
+        shards = [(l, s) for l in range(num_levels) for s in range(2**l)]
         total_hashrate = sum(m.hashrate for m in cfg.miners)
         prev_value_avg = {key: 0.0 for key in shards}
         prev_beta_avg = {key: 0.0 for key in shards}
@@ -789,7 +743,8 @@ class _TreeRun(_Run):
                         nonce=nonce_step(self._random_id(), *child_nonces),
                     )
                     block = self._block(
-                        coords[key],
+                        level,
+                        shard,
                         round_index,
                         self.state.tips.get(key, b"\x00" * 32),
                         chosen,
@@ -878,8 +833,7 @@ class _ConcurrentRun(_Run):
     def run(self) -> SimReport:
         cfg = self.cfg
         num_levels = cfg.num_levels
-        coords = self._shard_coords()
-        chains = list(coords)
+        chains = [(l, s) for l in range(num_levels) for s in range(2**l)]
         chain_mempool: dict[tuple[int, int], list[MempoolEntry]] = {c: [] for c in chains}
         unreferenced: dict[tuple[int, int], list[bytes]] = {c: [] for c in chains}
         referenced: set[bytes] = set()
@@ -955,7 +909,8 @@ class _ConcurrentRun(_Run):
                     unreferenced[kid] = batch[take:]
             bits = cfg.header_bits + sum(e.size_bits for e in chosen)
             block = self._block(
-                coords[chain],
+                level,
+                shard,
                 chain_blocks[chain],
                 self.state.tips.get(chain, b"\x00" * 32),
                 chosen,

@@ -44,7 +44,6 @@ from hbsim.simulator import (
     SubBlock,
     apply_block,
     equal_miners,
-    shard_path_coord,
     simulate,
     validate_block,
 )
@@ -213,7 +212,8 @@ def adversarial_cross_shard_attempts(attempts: int, level: int = 3) -> int:
         chosen_block = None
         for idx in (true_idx, wrong_idx):
             block = SubBlock(
-                coord=shard_path_coord(level, idx),
+                level=level,
+                shard=idx,
                 seq=i,
                 parent_ref=b"\x00" * 32,
                 child_refs=(),

@@ -20,7 +20,6 @@ from hbsim.simulator import (
     ChainState,
     SubBlock,
     apply_block,
-    flat_coord,
     validate_block,
 )
 from hbsim.simulator.engine import ArrivalTx
@@ -33,7 +32,8 @@ INVALID_KINDS = ("missing", "spent", "respend", "overdraft", "negative_fee", "mu
 
 def block(txs, fees, level=0):
     return SubBlock(
-        coord=flat_coord(level),
+        level=level,
+        shard=0,
         seq=0,
         parent_ref=b"\x00" * 32,
         child_refs=(),

@@ -201,11 +201,3 @@ class TestInvariants:
     def test_exact_constant_is_not_the_approximation(self):
         assert HASHES_PER_DIFFICULTY_EXACT != HASHES_PER_DIFFICULTY_APPROX
         assert HASHES_PER_DIFFICULTY_EXACT * 65535 == 2**48
-
-    def test_economic_constants_housing(self):
-        from hbsim.core import EconomicConstants
-
-        constants = EconomicConstants(c_eta=0.036, gamma=None)
-        assert constants.satoshi_per_btc == 10**8
-        with pytest.raises(ValueError):
-            EconomicConstants(c_eta=0.0)

@@ -20,7 +20,6 @@ from hbsim.sharding import (
     routing_miss_probability,
     shard_index,
     shard_path,
-    shard_path_coord,
     tree_throughput,
     tx_shard,
     tx_shard_index,
@@ -230,12 +229,6 @@ class TestShardIndex:
             tx_shard_index(level, tx)
         with pytest.raises(ValueError, match="level must be"):
             tx_shard_indices(level, [tx])
-
-    def test_shard_path_coord_round_trips(self, rng):
-        for level in range(0, 12):
-            identifier = rng.getrandbits(256).to_bytes(32, "big")
-            coord = shard_path(level, identifier)
-            assert shard_path_coord(level, coord.index) == coord
 
 
 def full_tree_randomness(rng, num_levels):

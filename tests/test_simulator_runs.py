@@ -325,7 +325,7 @@ class TestConcurrentRun:
         """With one digest per chain, every level-1 block after a chain's first
         re-references the same digest; the audit counts each repeat."""
         monkeypatch.setattr(
-            SubBlock, "digest", lambda self: bytes([self.coord.level, self.coord.index]) * 16
+            SubBlock, "digest", lambda self: bytes([self.level, self.shard]) * 16
         )
         cfg = SimConfig(
             mode="concurrent",

@@ -23,10 +23,8 @@ from hbsim.simulator import (
     apply_block,
     change_output_id,
     equal_miners,
-    flat_coord,
     propagation_delay,
     sample_mining_time,
-    shard_path_coord,
     take_by_fee_rate,
     validate_block,
 )
@@ -146,7 +144,7 @@ class TestMineLevel:
         prev = b"\x00" * 32
         for level in (2, 1, 0):
             block = run._mine_level(level, prev, seq=0)
-            assert block.coord.level == level
+            assert block.level == level
             assert block.size_bits == run.cfg.header_bits
             assert not block.txs
             prev = block.digest()
@@ -193,7 +191,7 @@ class TestMineLevel:
         the one mined before it, across periods too."""
         mined, periods = self.mined_blocks(monkeypatch, "flat")
         assert periods >= 2
-        assert [b.coord.level for b in mined] == [2, 1, 0] * periods
+        assert [b.level for b in mined] == [2, 1, 0] * periods
         assert [b.seq for b in mined] == [p for p in range(periods) for _ in range(3)]
         assert mined[0].parent_ref == b"\x00" * 32
         for before, block in zip(mined, mined[1:]):
@@ -202,7 +200,7 @@ class TestMineLevel:
     def test_hybrid_mines_the_legacy_block_first(self, monkeypatch):
         mined, periods = self.mined_blocks(monkeypatch, "hybrid")
         assert periods >= 2
-        assert [b.coord.level for b in mined] == [0, 2, 1] * periods
+        assert [b.level for b in mined] == [0, 2, 1] * periods
         for before, block in zip(mined, mined[1:]):
             assert block.parent_ref == before.digest()
 
@@ -239,9 +237,10 @@ class TestChainState:
             state.inject_genesis(b"\x01" * 32, 100)
 
 
-def block_at(coord, txs, fees, carried=None, seq=0):
+def block_at(level, shard, txs, fees, carried=None, seq=0):
     return SubBlock(
-        coord=coord,
+        level=level,
+        shard=shard,
         seq=seq,
         parent_ref=b"\x00" * 32,
         child_refs=(),
@@ -276,8 +275,8 @@ class TestArrivalTx:
             for level in range(4):
                 assert tx_shard_index(level, record) == tx_shard_index(level, tx)
         fees = [entry.fee_sat for entry in entries]
-        from_records = block_at(flat_coord(0), records, fees)
-        from_public = block_at(flat_coord(0), public, fees)
+        from_records = block_at(0, 0, records, fees)
+        from_public = block_at(0, 0, public, fees)
         assert from_records.size_bits == from_public.size_bits
         assert from_records.digest() == from_public.digest()
         assert validate_block(from_records, run.state, check_shard=False)
@@ -288,7 +287,7 @@ class TestValidateBlock:
     def test_spend_of_missing_output(self):
         state = ChainState()
         tx = make_tx(100, 100, input_ref=b"\xee" * 32)
-        result = validate_block(block_at(flat_coord(0), [tx], [1]), state, check_shard=False)
+        result = validate_block(block_at(0, 0, [tx], [1]), state, check_shard=False)
         assert not result
         assert result.code == E_DOUBLE_SPEND
         assert tx.id.hex() in result.detail
@@ -299,7 +298,7 @@ class TestValidateBlock:
         tx1 = make_tx(100, 100, input_ref=b"\xaa" * 32)
         tx2 = make_tx(200, 100, input_ref=b"\xaa" * 32)
         result = validate_block(
-            block_at(flat_coord(0), [tx1, tx2], [1, 1]), state, check_shard=False
+            block_at(0, 0, [tx1, tx2], [1, 1]), state, check_shard=False
         )
         assert result.code == E_DOUBLE_SPEND
 
@@ -307,7 +306,7 @@ class TestValidateBlock:
         state = ChainState()
         state.inject_genesis(b"\xaa" * 32, 50)
         tx = make_tx(100, 100, input_ref=b"\xaa" * 32)
-        result = validate_block(block_at(flat_coord(0), [tx], [1]), state, check_shard=False)
+        result = validate_block(block_at(0, 0, [tx], [1]), state, check_shard=False)
         assert result.code == E_DOUBLE_SPEND
         assert "more than" in result.detail
 
@@ -319,14 +318,14 @@ class TestValidateBlock:
         for nonce, level in itertools.product((None, b"\x5a" * 32), range(1, 10)):
             true_idx = shard_path(level, tx.input_ref, nonce).index
             ok = validate_block(
-                block_at(shard_path_coord(level, true_idx), [tx], [fee]), state, nonce=nonce
+                block_at(level, true_idx, [tx], [fee]), state, nonce=nonce
             )
             assert ok.accepted, level
             # the sibling, the far half of the level, and the mirrored shard
             wrong = {true_idx ^ 1, true_idx ^ (1 << (level - 1)), 2**level - 1 - true_idx}
             for wrong_idx in wrong - {true_idx}:
                 bad = validate_block(
-                    block_at(shard_path_coord(level, wrong_idx), [tx], [fee]), state, nonce=nonce
+                    block_at(level, wrong_idx, [tx], [fee]), state, nonce=nonce
                 )
                 assert not bad.accepted and bad.code == E_SHARD_MISMATCH, (level, wrong_idx)
                 assert f"maps to shard {true_idx} " in bad.detail
@@ -338,9 +337,9 @@ class TestValidateBlock:
         tx = make_tx(
             100, 100, input_ref=b"\x01" * 32, extra_input_refs=(b"\x02" * 32,), requested_level=0
         )
-        ok = validate_block(block_at(flat_coord(0), [tx], [1]), state)
+        ok = validate_block(block_at(0, 0, [tx], [1]), state)
         assert ok.accepted
-        bad = validate_block(block_at(shard_path_coord(1, 0), [tx], [1]), state)
+        bad = validate_block(block_at(1, 0, [tx], [1]), state)
         assert bad.code == "E_MULTI_INPUT_SHARDED"
 
     def test_tampered_carried_average(self):
@@ -359,10 +358,10 @@ class TestValidateBlock:
             bits_level_sums=(3.0, 4.0),
             nonce=b"\x00" * 32,
         )
-        block = block_at(flat_coord(0), [], [], carried=tampered)
+        block = block_at(0, 0, [], [], carried=tampered)
         result = validate_block(block, state, check_shard=False, expected_carried=carried)
         assert result.code == E_BAD_CARRIED_AVERAGE
-        block_ok = block_at(flat_coord(0), [], [], carried=carried)
+        block_ok = block_at(0, 0, [], [], carried=carried)
         assert validate_block(block_ok, state, check_shard=False, expected_carried=carried)
 
 
@@ -371,7 +370,7 @@ class TestApplyBlock:
         state = ChainState()
         state.inject_genesis(b"\xaa" * 32, 10_000)
         tx = make_tx(6_000, 100, input_ref=b"\xaa" * 32)
-        block = block_at(flat_coord(0), [tx], [300])
+        block = block_at(0, 0, [tx], [300])
         assert validate_block(block, state, check_shard=False)
         apply_block(block, state)
         assert state.unspent[tx.id] == 6_000
@@ -384,7 +383,7 @@ class TestApplyBlock:
         state = ChainState()
         state.inject_genesis(b"\xaa" * 32, 1_000)
         tx = make_tx(900, 100, input_ref=b"\xaa" * 32)
-        block = block_at(flat_coord(0), [tx], [100])
+        block = block_at(0, 0, [tx], [100])
         apply_block(block, state)
         assert change_output_id(tx.id) not in state.unspent
         assert state.total_unspent == 900
@@ -408,7 +407,8 @@ class TestSubBlockDigest:
             ExtendedTransaction(id=b"\x12" * 32, value=9_000, size_bytes=400, input_ref=b"\x22" * 32),
         )
         block = SubBlock(
-            coord=shard_path_coord(2, 1),
+            level=2,
+            shard=1,
             seq=7,
             parent_ref=b"\x33" * 32,
             child_refs=(b"\x44" * 32, b"\x55" * 32),
@@ -422,15 +422,6 @@ class TestSubBlockDigest:
 
 
 class TestCoords:
-    def test_flat_coord_branch(self):
-        coord = flat_coord(3)
-        assert coord.branch == (0, 0, 0, 0)
-
-    def test_shard_path_coord_round_trip(self):
-        for level, idx in ((0, 0), (3, 5), (5, 19)):
-            coord = shard_path_coord(level, idx)
-            assert coord.level == level and coord.index == idx
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="miner"):
             small_config(mode="tree")
