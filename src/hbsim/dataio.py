@@ -284,16 +284,13 @@ def draw_value_size(spec: WorkloadSpec, rng: random.Random) -> tuple[int, int]:
 
 
 def generate_workload(
-    spec: WorkloadSpec,
-    rng: random.Random,
-    duration: float,
-    input_refs: Sequence[bytes] | None = None,
-    num_levels: int | None = None,
+    spec: WorkloadSpec, rng: random.Random, duration: float
 ) -> Iterator[tuple[float, ExtendedTransaction]]:
     """Yield (arrival_time, transaction) events over ``duration`` seconds, as drawn.
 
-    Values and sizes come from :func:`draw_value_size`. Input references
-    come from ``input_refs`` when supplied, otherwise they are synthetic.
+    Each event draws its interarrival time, then its value and size from
+    :func:`draw_value_size`, then its 256-bit id. The transactions are
+    dataset rows: they have no input reference and no requested level.
     """
     t = 0.0
     while True:
@@ -302,17 +299,7 @@ def generate_workload(
             return
         value, size = draw_value_size(spec, rng)
         tx_id = rng.getrandbits(256).to_bytes(32, "big")
-        if input_refs:
-            ref = input_refs[rng.randrange(len(input_refs))]
-        else:
-            ref = rng.getrandbits(256).to_bytes(32, "big")
-        requested = None
-        if num_levels and spec.level_override_fraction > 0.0:
-            if rng.random() < spec.level_override_fraction:
-                requested = rng.randrange(num_levels)
-        yield t, ExtendedTransaction(
-            id=tx_id, value=value, size_bytes=size, input_ref=ref, requested_level=requested
-        )
+        yield t, ExtendedTransaction(id=tx_id, value=value, size_bytes=size)
 
 
 def write_report(report, path: str | Path) -> None:

@@ -136,14 +136,11 @@ def eta_levels_flat(
 def eta_levels_tree(
     c_eta: float,
     stats: LevelStats,
-    children_per_node: int = 2,
     previous: Sequence[float] | None = None,
 ) -> list[float]:
-    """Tree-sharded time investments: c^l times the flat value at level l."""
-    if children_per_node < 2:
-        raise ValueError("children_per_node must be >= 2")
+    """Tree-sharded time investments: 2^l times the flat value at level l."""
     flat = eta_levels_flat(c_eta, stats, previous=previous)
-    return [children_per_node**l * e for l, e in enumerate(flat)]
+    return [2**l * e for l, e in enumerate(flat)]
 
 
 def time_per_level(eta: Sequence[float], avg_block_bits: Sequence[float]) -> list[float]:
@@ -211,21 +208,17 @@ def reward_split_flat(times: Sequence[float], block_reward_btc: float) -> list[i
 
 
 def reward_split_tree(
-    times: Sequence[float], num_levels: int, block_reward_btc: float, children_per_node: int = 2
+    times: Sequence[float], num_levels: int, block_reward_btc: float
 ) -> list[list[int]]:
-    """Per-shard rewards: the flat level share divided among c^l shards.
+    """Per-shard rewards: the flat level share divided among the 2^l shards.
 
-    Returns one list per level, length c^l, in satoshi; the grand total equals
+    Returns one list per level, length 2^l, in satoshi; the grand total equals
     the block reward exactly.
     """
     if len(times) != num_levels:
         raise ValueError("times must have one entry per level")
     flat = reward_split_flat(times, block_reward_btc)
-    out: list[list[int]] = []
-    for l, level_total in enumerate(flat):
-        shards = children_per_node**l
-        out.append(_largest_remainder([1.0] * shards, level_total))
-    return out
+    return [_largest_remainder([1.0] * 2**l, level_total) for l, level_total in enumerate(flat)]
 
 
 def recurrent_average(prev: float, index: int, sample: float) -> float:

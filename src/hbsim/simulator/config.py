@@ -75,7 +75,6 @@ class SimConfig:
     duration: float
     seed: int
     workload: WorkloadSpec
-    children_per_node: int = 2
     retarget_window: int = 32
     target_time: float = 600.0
     miners: tuple[Miner, ...] = ()
@@ -132,8 +131,6 @@ class SimConfig:
             raise ValueError("target_time must be positive")
         if self.mode == MODE_TREE and not self.miners:
             raise ValueError("tree mode needs a miner roster to divide among shards")
-        if self.children_per_node != 2:
-            raise ValueError("the sharded modes are defined over a binary tree")
         if self.broadcast is not None and self.broadcast not in BROADCASTS:
             raise ValueError(f"unknown broadcast policy {self.broadcast!r}")
         if self.genesis_outputs < 1:

@@ -486,7 +486,7 @@ class _Run:
 
     def _mint_shard_rewards(self, times: list[float], tag: str) -> None:
         cfg = self.cfg
-        split = reward_split_tree(times, cfg.num_levels, cfg.block_reward_btc, cfg.children_per_node)
+        split = reward_split_tree(times, cfg.num_levels, cfg.block_reward_btc)
         for level, shares in enumerate(split):
             for shard, amount in enumerate(shares):
                 self.state.mint(reward_output_id(f"{tag}/{level}/{shard}"), amount)
@@ -653,7 +653,9 @@ class _TreeRun(_Run):
         raw_value_samples: dict[tuple[int, int], list[float]] = {key: [] for key in shards}
         epoch_raw: list[dict] = []
         published: list[dict] = []
-        nonce: bytes | None = None
+        # round 0 places miners and transactions under a seeded nonce too;
+        # each later round uses the nonce its root folded
+        nonce = self._random_id()
         stalled = None
         round_index = 0
         non_root_blocks = 0

@@ -171,7 +171,7 @@ class TestValidation:
 
     def test_stalled_tree_run_exits_1_with_report(self, tmp_path, capsys):
         """Ten miners over four leaf shards leave one leaf without hashrate
-        at round 11; the report is still written, the run fails loudly."""
+        at round 1; the report is still written, the run fails loudly."""
         code, text = invoke(
             ["simulate", "--mode", "tree", "--levels", "3", "--seed", "1", "--periods", "30",
              "--miners", "10", "--out-dir", str(tmp_path), "--out", "s.json"]
@@ -181,21 +181,33 @@ class TestValidation:
         assert "-> " in text
         payload = json.loads((tmp_path / "s.json").read_text())
         stalled = payload["tree"]["stalled"]
-        assert stalled == {"round": 11, "shard": [2, 0]}
-        assert payload["tree"]["rounds"] == 11
-        assert "stalled at round 11: shard (2,0) has no miner" in err
+        assert stalled == {"round": 1, "shard": [2, 2]}
+        assert payload["tree"]["rounds"] == 1
+        assert "stalled at round 1: shard (2,2) has no miner" in err
         assert f"covers {payload['sim_end_time']:.0f}s of 18000s" in err
-        assert "periods=11 mean_period=" in text and "mean_period=n/a" not in text
-        # six miners leave a leaf empty before the first round completes
+        assert "periods=1 mean_period=" in text and "mean_period=n/a" not in text
+        # one miner leaves three of the four leaves empty in every round
         code, text = invoke(
             ["simulate", "--mode", "tree", "--levels", "3", "--seed", "1", "--periods", "30",
-             "--miners", "6", "--out-dir", str(tmp_path), "--out", "s0.json"]
+             "--miners", "1", "--out-dir", str(tmp_path), "--out", "s0.json"]
         )
         err = capsys.readouterr().err
         assert code == 1
         assert "periods=0 mean_period=n/a " in text
         assert "nan" not in text
         assert "stalled at round 0:" in err
+
+    def test_seeded_round_0_placement(self, tmp_path, capsys):
+        """Round 0 places miners under a nonce drawn from the seed, so an
+        8-miner tree is not bound to one placement; seed 2 fills every leaf."""
+        code, text = invoke(
+            ["simulate", "--mode", "tree", "--levels", "3", "--seed", "2", "--periods", "1",
+             "--miners", "8", "--out-dir", str(tmp_path), "--out", "t.json"]
+        )
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["tree"]["stalled"] is None
+        assert payload["tree"]["rounds"] >= 1
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBSIM_OUT_DIR", str(tmp_path / "envout"))

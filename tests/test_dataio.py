@@ -291,20 +291,6 @@ class TestGenerateWorkload:
         result = scipy_stats.kstest(lg, "norm", args=(3.0, 1.0))
         assert result.pvalue > 0.01
 
-    def test_input_refs_from_registry(self):
-        rng = random.Random(5)
-        registry = [bytes([i]) * 32 for i in range(4)]
-        events = generate_workload(self.spec(), rng, 50.0, input_refs=registry)
-        assert all(t.input_ref in registry for _, t in events)
-
-    def test_level_overrides(self):
-        rng = random.Random(6)
-        spec = self.spec(level_override_fraction=0.5)
-        events = list(generate_workload(spec, rng, 200.0, num_levels=4))
-        overridden = [t.requested_level for _, t in events if t.requested_level is not None]
-        assert 0.3 < len(overridden) / len(events) < 0.7
-        assert set(overridden) <= {0, 1, 2, 3}
-
     def test_determinism(self):
         a = generate_workload(self.spec(), random.Random(7), 100.0)
         b = generate_workload(self.spec(), random.Random(7), 100.0)

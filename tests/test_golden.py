@@ -37,19 +37,19 @@ BASE = dict(num_levels=3, duration=600.0 * 400, workload=WORKLOAD, retarget_wind
 CASES = {
     "flat": (
         dict(mode="flat", seed=7),
-        "6aff9e4bef9143b1c74bcd314f31ff5c98a2d7b8b86b1efaed05a5041cbbb23e",
+        "5391b6051f04fa12228bbedbcda1991c96c9ef09d214db645f1501267384ee0d",
     ),
     "hybrid": (
         dict(mode="hybrid", seed=11),
-        "fd6e4d0fe0300b5c14fac4473c7d886c2112aff5242e1566862d8a72f324730f",
+        "78b84d841187eb803683c7768178c8ce93faec09c7e3964bef5d49e0642e85aa",
     ),
     "tree": (
         dict(mode="tree", seed=13, miners=equal_miners(48)),
-        "24f70bf97c2d8450486dca5cd688264b3f2871ddb6c9a7cac0295579e4c3887b",
+        "b29bdbd63c616b91bc74144bb71cbad51b80cc9db642dda076f6d705b8225993",
     ),
     "concurrent": (
         dict(mode="concurrent", seed=41, chain_target_times=(429.0, 124.0, 44.5)),
-        "f4d07451bb06e15c3d5ce1b9ff2f7d8109433a34e446c710ddbfcce77188b227",
+        "fecc6ece989b672584596d83a4d4ad220b6ab956a6e7d3d7465222b9f6cfe643",
     ),
 }
 
@@ -58,11 +58,11 @@ SHORT = dict(BASE, duration=600.0 * 200)
 PATH_CASES = {
     "flat-per-subblock": (
         dict(mode="flat", seed=7, broadcast="per-subblock"),
-        "3c037607b8e4c12162b7edf45c0918cb20a784415b29fbaabb28e18a014e1582",
+        "df9bb1ebbe3fb4fca65c01f4e08426a3e25192c690ddbb8314453b585eb61ea4",
     ),
     "flat-hybrid-batch": (
         dict(mode="flat", seed=7, broadcast="hybrid-batch"),
-        "08783f4c2be7e179dc817b84f6e94bcb19d0cd8e805c363cf34fa9d75080daa4",
+        "1ffbeca1c27107edfbdbe358577ca7d0624a2c71e6a70586d6961f75553e4105",
     ),
     "flat-lognormal-override": (
         dict(
@@ -77,7 +77,7 @@ PATH_CASES = {
                 level_override_fraction=0.2,
             ),
         ),
-        "bf6fe54e3a5a6823b4d1ab0d58f7faa265b45b1357d039a7be9ec211dc9e7b78",
+        "1a5a28b74c096f975055810a41b62fca222ba2b30cf64557941069a1460bedcb",
     ),
     "hybrid-empirical": (
         dict(
@@ -87,11 +87,11 @@ PATH_CASES = {
                 rate=0.2, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode="empirical", size_params=(250, 400, 900)
             ),
         ),
-        "70d7088751e5ff487b726819b67c0541307a80cb2f04acab9dc27685a4506150",
+        "b31f6bc3509e17170f227c9a3b78f98e6163bb3f1da801ef53cd90b86daaebd2",
     ),
     "concurrent-batch2": (
         dict(mode="concurrent", seed=9, max_child_batch=2, chain_target_times=(429.0, 124.0, 44.5)),
-        "7616e747f3e14d7207c886dbe6aafe1c95b7c69aa6704cd92352313ed3f3c7c1",
+        "ec2cf3535a2b221ac134bc7865c0e63159984ca964afa60dbbac93cd77340b9d",
     ),
 }
 
@@ -184,8 +184,8 @@ def test_analysis_digest(case, tmp_path):
 # -- dataset generator ----------------------------------------------------------
 
 GEN_ARGV = ["gen", "--rate", "3", "--duration", "2000", "--seed", "17", "--tx-bytes", "250", "--target", "120"]
-GEN_ROWS = 5994
-GEN_DIGEST = "ec59a20b7a132e25890676ae301ddb8d8ed13409b70bf3eb714fc89a7e4c1ab7"
+GEN_ROWS = 6038
+GEN_DIGEST = "0f468b14d9357cd10ba52a93a6ad131a992a2deca94a337b7b829184da7d1fee"
 
 
 def test_gen_digest(tmp_path):
