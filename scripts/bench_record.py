@@ -10,6 +10,9 @@ time, this runs
 and writes ``BENCH_<short-sha>.json`` to the repository root. Per workload the
 file holds the median, min and interquartile range of each end-to-end metric
 over the seeds, the per-seed values, and the operations attempted and failed.
+For each simulator workload and seed it also holds the sha256 of the report's
+``canonical_json``, from one untimed ``SimulatorWorkload(name, seed).call()``
+made between runs, so two files show whether the reports differ.
 It also holds ``nproc``, the platform, the Python and numpy versions, the git
 sha and whether ``src/`` or ``hbbench/`` differed from that commit. Times are
 the benchmark's reference seconds (``hbbench/probe.py``).
@@ -19,6 +22,7 @@ Compare two files only when they were recorded on the same host.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -31,6 +35,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
+
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hbbench")]
+from workloads import SIMULATOR_RUNS, SimulatorWorkload  # noqa: E402
 
 
 def git(*args: str) -> subprocess.CompletedProcess:
@@ -60,6 +67,14 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def report_sha256(workload: str, seed: int) -> str | None:
+    """sha256 of a simulator workload's ``canonical_json`` for one seed; None for analysis."""
+    if workload not in SIMULATOR_RUNS:
+        return None
+    text = SimulatorWorkload(workload, seed).call()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def summarize(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "min": min(values), "iqr": q3 - q1}
@@ -74,7 +89,13 @@ def main() -> int:
         return 2
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
-        runs = [run_once(workload, seed, bench["run_seconds"]) for seed in SEEDS]
+        runs = []
+        for seed in SEEDS:
+            run = run_once(workload, seed, bench["run_seconds"])
+            digest = report_sha256(workload, seed)
+            if digest is not None:
+                run["report_sha256"] = digest
+            runs.append(run)
         done = [r for r in runs if "metrics" in r]
         workloads[workload] = {
             "runs": runs,
