@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import ExtendedTransaction
 
@@ -131,26 +131,37 @@ def tx_shard_index(
     return shard_index(level, tx.input_ref, nonce)
 
 
-def tx_shard_indices(
-    level: int, txs: Iterable[ExtendedTransaction], nonce: bytes | GlobalNonce | None = None
-) -> list[int]:
-    """``[tx_shard_index(level, tx, nonce) for tx in txs]`` in one pass.
-
-    The first transaction that fails a check raises, as the per-transaction
-    form would.
-    """
+def shard_indices(
+    level: int, identifiers: Iterable[bytes], nonce: bytes | GlobalNonce | None = None
+) -> Iterator[int]:
+    """``shard_index(level, identifier, nonce)`` per identifier, each hashed only when pulled."""
     _check_level(level)
-    suffix = _nonce_bytes(nonce)
-    shift = 256 - level
+    return _indices(256 - level, identifiers, _nonce_bytes(nonce))
+
+
+def _indices(shift: int, identifiers: Iterable[bytes], suffix: bytes) -> Iterator[int]:
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
-    indices = []
+    for identifier in identifiers:
+        yield from_bytes(sha256(identifier + suffix).digest(), "big") >> shift
+
+
+def tx_shard_indices(
+    level: int, txs: Iterable[ExtendedTransaction], nonce: bytes | GlobalNonce | None = None
+) -> Iterator[int]:
+    """``tx_shard_index(level, tx, nonce)`` per transaction, yielded lazily.
+
+    ``level`` is checked when called; a transaction's checks and hash run when
+    its index is pulled, and a failing check raises the per-transaction error.
+    """
+    return shard_indices(level, _input_refs(level, txs), nonce)
+
+
+def _input_refs(level: int, txs: Iterable[ExtendedTransaction]) -> Iterator[bytes]:
     for tx in txs:
-        ref = tx.input_ref
-        if ref is None or (level and tx.extra_input_refs):
+        if tx.input_ref is None or (level and tx.extra_input_refs):
             _check_tx(level, tx)  # raises with the per-transaction message
-        indices.append(from_bytes(sha256(ref + suffix).digest(), "big") >> shift)
-    return indices
+        yield tx.input_ref
 
 
 def nonce_step(local: bytes, left: bytes = b"", right: bytes = b"") -> bytes:

@@ -39,7 +39,7 @@ from ..sharding import (
     mfn_store_rate,
     nonce_step,
     rate_to_mb_per_day,
-    shard_index,
+    shard_indices,
     tx_shard_index,
     tx_shard_indices,
 )
@@ -146,20 +146,45 @@ class MempoolEntry:
 
 
 def take_by_fee_rate(
-    entries: list[MempoolEntry], cap_bytes: int
-) -> tuple[list[MempoolEntry], list[MempoolEntry]]:
-    """Greedy fill: fee per bit descending until the next entry would overflow."""
+    entries: list[MempoolEntry], cap_bytes: int, level: int | None = None, nonce: bytes | None = None
+) -> tuple[list, list[MempoolEntry]]:
+    """Greedy fill: fee per bit descending until the next entry would overflow.
+
+    Returns ``(chosen, rest)``. With ``level`` given, ``chosen`` holds one list
+    per shard of that level, all filled in one walk that hashes each entry's
+    shard under ``nonce`` only on reaching it. A shard stops at its own first
+    overflow; once all have stopped, the entries not yet walked join ``rest``
+    unhashed. Level 0 is one shard and hashes nothing.
+    """
     entries.sort(key=operator.attrgetter("sort_key"))
-    chosen: list[MempoolEntry] = []
-    used = 0
-    cut = len(entries)
-    for i, entry in enumerate(entries):
-        if used + entry.tx.size_bytes > cap_bytes:
-            cut = i
-            break
-        chosen.append(entry)
-        used += entry.tx.size_bytes
-    return chosen, entries[cut:]
+    if not level:  # one shard: the fill is a prefix
+        used = cut = 0
+        for entry in entries:
+            used += entry.tx.size_bytes
+            if used > cap_bytes:
+                break
+            cut += 1
+        return (entries[:cut] if level is None else [entries[:cut]]), entries[cut:]
+    shards = tx_shard_indices(level, map(operator.attrgetter("tx"), entries), nonce)
+    chosen: list[list[MempoolEntry]] = [[] for _ in range(2**level)]
+    room: list[int | None] = [cap_bytes] * len(chosen)  # None once the shard has stopped
+    filling = len(chosen)
+    rest: list[MempoolEntry] = []
+    for i, (entry, shard) in enumerate(zip(entries, shards)):
+        left = room[shard]
+        if left is not None:
+            size = entry.tx.size_bytes
+            if size <= left:
+                chosen[shard].append(entry)
+                room[shard] = left - size
+                continue
+            room[shard] = None
+            filling -= 1
+            if not filling:
+                rest += entries[i:]
+                break
+        rest.append(entry)
+    return chosen, rest
 
 
 class _LevelWindow:
@@ -647,6 +672,7 @@ class _TreeRun(_Run):
         num_levels = cfg.num_levels
         shards = [(l, s) for l in range(num_levels) for s in range(2**l)]
         total_hashrate = sum(m.hashrate for m in cfg.miners)
+        peer_ids = [m.peer_id for m in cfg.miners]
         prev_value_avg = {key: 0.0 for key in shards}
         prev_beta_avg = {key: 0.0 for key in shards}
         prev_bits_avg = {key: 0.0 for key in shards}
@@ -667,32 +693,23 @@ class _TreeRun(_Run):
             # miners re-shard every round under the current global nonce; a
             # miner's shard at level l is the leading l bits of its leaf index
             shard_hashrate = {key: 0.0 for key in shards}
-            for miner in cfg.miners:
-                leaf = shard_index(num_levels - 1, miner.peer_id, nonce)
+            for miner, leaf in zip(cfg.miners, shard_indices(num_levels - 1, peer_ids, nonce)):
                 for l in range(num_levels):
                     shard_hashrate[(l, leaf >> (num_levels - 1 - l))] += miner.hashrate
-            # transactions re-shard too
-            grouped: dict[tuple[int, int], list[MempoolEntry]] = {key: [] for key in shards}
-            for level in range(num_levels):
-                pool = self.mempool[level]
-                for entry, idx in zip(pool, tx_shard_indices(level, [e.tx for e in pool], nonce)):
-                    grouped[(level, idx)].append(entry)
-                self.mempool[level] = []
             finish: dict[tuple[int, int], float] = {}
             carried_map: dict[tuple[int, int], CarriedValues] = {}
             block_map: dict[tuple[int, int], SubBlock] = {}
             root_block = None
             for level in range(num_levels - 1, -1, -1):
-                for shard in range(2**level):
+                # transactions re-shard too, each only if its level's fill reaches it
+                shard_cap = max(cfg.min_cap_bytes, self.caps[level] // 2**level)
+                fills, self.mempool[level] = take_by_fee_rate(self.mempool[level], shard_cap, level, nonce)
+                for shard, chosen in enumerate(fills):
                     key = (level, shard)
                     alpha = shard_hashrate[key] / (total_hashrate / 2**level)
                     if alpha == 0.0:
                         stalled = {"round": round_index, "shard": list(key)}
                         break
-                    shard_cap = max(cfg.min_cap_bytes, self.caps[level] // 2**level)
-                    chosen, rest = take_by_fee_rate(grouped[key], shard_cap)
-                    for entry in rest:
-                        self.mempool[level].append(entry)
                     bits = cfg.header_bits + sum(e.size_bits for e in chosen)
                     if level == num_levels - 1:
                         start = t0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -19,12 +20,14 @@ from hbsim.sharding import (
     required_peers,
     routing_miss_probability,
     shard_index,
+    shard_indices,
     shard_path,
     tree_throughput,
     tx_shard,
     tx_shard_index,
     tx_shard_indices,
 )
+from hbsim.simulator import MempoolEntry, take_by_fee_rate
 from conftest import make_tx
 
 
@@ -199,8 +202,8 @@ class TestShardIndex:
         def one_by_one():
             return [tx_shard_index(level, tx, nonce) for tx in txs]
 
-        assert outcome(lambda: tx_shard_indices(level, txs, nonce)) == outcome(one_by_one)
-        assert outcome(lambda: tx_shard_indices(level, iter(txs), nonce)) == outcome(one_by_one)
+        assert outcome(lambda: list(tx_shard_indices(level, txs, nonce))) == outcome(one_by_one)
+        assert outcome(lambda: list(tx_shard_indices(level, iter(txs), nonce))) == outcome(one_by_one)
 
     def test_checks_still_raise(self):
         single = make_tx(10, 10, input_ref=b"\x01" * 32)
@@ -208,17 +211,54 @@ class TestShardIndex:
             10, 10, input_ref=b"\x01" * 32, extra_input_refs=(b"\x02" * 32,), requested_level=0
         )
         missing = make_tx(10, 10)
-        assert tx_shard_index(0, multi) == tx_shard_indices(0, [multi])[0] == 0
+        assert tx_shard_index(0, multi) == list(tx_shard_indices(0, [multi]))[0] == 0
         for level in (1, 7, 255):
             with pytest.raises(MultiInputShardedError, match="E_MULTI_INPUT_SHARDED"):
                 tx_shard_index(level, multi)
             with pytest.raises(MultiInputShardedError, match="E_MULTI_INPUT_SHARDED"):
-                tx_shard_indices(level, [single, multi])
+                list(tx_shard_indices(level, [single, multi]))
         for level in (0, 3):
             with pytest.raises(ValueError, match="input reference"):
                 tx_shard_index(level, missing)
             with pytest.raises(ValueError, match="input reference"):
-                tx_shard_indices(level, [single, missing])
+                list(tx_shard_indices(level, [single, missing]))
+
+    @given(LEVELS, st.lists(REFS, max_size=8), NONCES)
+    def test_identifier_batch_equals_per_identifier(self, level, identifiers, nonce):
+        assert list(shard_indices(level, identifiers, nonce)) == [
+            shard_index(level, identifier, nonce) for identifier in identifiers
+        ]
+
+    def test_checks_run_as_each_transaction_is_pulled(self):
+        single = make_tx(10, 10, input_ref=b"\x01" * 32)
+        missing = make_tx(10, 10)
+        indices = tx_shard_indices(3, [single, missing])
+        assert next(indices) == tx_shard_index(3, single)
+        with pytest.raises(ValueError, match="input reference"):
+            next(indices)
+
+    def test_fill_stops_before_an_unshardable_entry(self):
+        """A level-2 fill whose four shards all overflow never pulls the entries after them."""
+        nonce = b"n" * 32
+        refs = {}
+        for i in itertools.count():
+            ref = i.to_bytes(32, "big")
+            refs.setdefault(shard_index(2, ref, nonce), []).append(ref)
+            if len(refs) == 4 and all(len(r) >= 2 for r in refs.values()):
+                break
+        # per shard one entry that fills the 100-byte cap and one that overflows it
+        entries = [
+            MempoolEntry(tx=make_tx(10, 100, input_ref=refs[shard][k]), fee_sat=1000 - k, seq=2 * shard + k)
+            for shard in range(4)
+            for k in range(2)
+        ]
+        poisoned = MempoolEntry(tx=make_tx(10, 100), fee_sat=1, seq=99)
+        chosen, rest = take_by_fee_rate(entries + [poisoned], 100, 2, nonce)
+        assert [[e.seq for e in c] for c in chosen] == [[0], [2], [4], [6]]
+        assert sorted(e.seq for e in rest) == [1, 3, 5, 7, 99]
+        # with shard 3 left unfilled the walk reaches the poisoned entry and raises
+        with pytest.raises(ValueError, match="input reference"):
+            take_by_fee_rate(entries[:6] + [poisoned], 100, 2, nonce)
 
     @pytest.mark.parametrize("level", [-1, 256])
     def test_level_bounds(self, level):

@@ -5,6 +5,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbsim.core import ExtendedTransaction
 from hbsim.dataio import WorkloadSpec
@@ -133,6 +134,58 @@ class TestTakeByFeeRate:
         ]
         chosen, _ = take_by_fee_rate(entries, 10_000)
         assert [e.seq for e in chosen] == [1, 2]
+
+
+# (fee, size) pairs whose fee rates tie across sizes: fee / (8 * size) is one of 1, 2 or 3
+FILL_ENTRIES = st.lists(
+    st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((100, 200, 300)), st.binary(min_size=32, max_size=32)),
+    max_size=40,
+)
+
+
+class TestShardedFill:
+    """The per-shard fill against an eager oracle: group every entry by shard, then sort and cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
+        FILL_ENTRIES,
+        st.data(),
+    )
+    def test_matches_grouped_sort_then_cut_oracle(self, level, nonce, rows, data):
+        entries = [
+            MempoolEntry(tx=make_tx(1, size, input_ref=ref), fee_sat=rate * 8 * size, seq=i)
+            for i, (rate, size, ref) in enumerate(rows)
+        ]
+        groups = [[] for _ in range(2**level)]
+        for e in entries:
+            groups[tx_shard_index(level, e.tx, nonce)].append(e)
+        for group in groups:
+            group.sort(key=lambda e: (-e.fee_sat / e.tx.size_bits, e.seq))
+        # caps a fill meets exactly: the byte total of some shard's first k entries
+        exact = {sum(e.tx.size_bytes for e in g[:k]) for g in groups for k in range(1, len(g) + 1)}
+        caps = st.integers(0, 3000)
+        if exact:
+            caps = st.one_of(st.sampled_from(sorted(exact)), caps)
+        cap = data.draw(caps)
+        chosen, rest = take_by_fee_rate(list(entries), cap, level, nonce)
+        assert len(chosen) == 2**level
+        for shard, group in enumerate(groups):
+            used = 0
+            oracle = []
+            for e in group:
+                if used + e.tx.size_bytes > cap:
+                    break
+                oracle.append(e)
+                used += e.tx.size_bytes
+            assert [e.seq for e in chosen[shard]] == [e.seq for e in oracle]
+        taken = {id(e) for shard_chosen in chosen for e in shard_chosen}
+        assert len(rest) == len({id(e) for e in rest})
+        assert {id(e) for e in rest} == {id(e) for e in entries} - taken
+        if level == 0:
+            flat, flat_rest = take_by_fee_rate(list(entries), cap)
+            assert flat == chosen[0] and flat_rest == rest
 
 
 class TestMineLevel:
