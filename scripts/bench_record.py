@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -195,8 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"base {base_sha} is the checked-out commit; nothing to pair\n")
         return 2
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as scratch:
-        base_root = Path(scratch) / f"base-{base_sha}"
+    # a terminated recording still removes its worktree: SystemExit runs the finally below
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmpdir:
+        base_root = Path(tmpdir) / f"base-{base_sha}"
         added = git("worktree", "add", "--detach", str(base_root), base_sha)
         if added.returncode:
             sys.stderr.write(added.stderr)
