@@ -14,6 +14,7 @@ see, such as propagation delay.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import random
@@ -146,31 +147,24 @@ class MempoolEntry:
 
 
 def take_by_fee_rate(
-    entries: list[MempoolEntry], cap_bytes: int, level: int | None = None, nonce: bytes | None = None
-) -> tuple[list, list[MempoolEntry]]:
-    """Greedy fill: fee per bit descending until the next entry would overflow.
+    entries: list[MempoolEntry], cap_bytes: int, level: int = 0, nonce: bytes | None = None
+) -> tuple[list[list[MempoolEntry]], list[MempoolEntry]]:
+    """Greedy fill of each shard of ``level``: fee per bit descending until its next entry would overflow.
 
-    Returns ``(chosen, rest)``. With ``level`` given, ``chosen`` holds one list
-    per shard of that level, all filled in one walk that hashes each entry's
-    shard under ``nonce`` only on reaching it. A shard stops at its own first
-    overflow; once all have stopped, the entries not yet walked join ``rest``
-    unhashed. Level 0 is one shard and hashes nothing.
+    Returns ``(chosen, rest)``, ``chosen`` holding one list per shard. All
+    shards fill in one walk that hashes each entry's shard under ``nonce``
+    only on reaching it. A shard stops at its own first overflow; once all
+    have stopped, the entries not yet walked join ``rest`` unhashed. Level 0
+    is one shard and hashes nothing: its fill is a prefix of the sorted pool.
     """
     entries.sort(key=operator.attrgetter("sort_key"))
-    if not level:  # one shard: the fill is a prefix
-        used = cut = 0
-        for entry in entries:
-            used += entry.tx.size_bytes
-            if used > cap_bytes:
-                break
-            cut += 1
-        return (entries[:cut] if level is None else [entries[:cut]]), entries[cut:]
-    shards = tx_shard_indices(level, map(operator.attrgetter("tx"), entries), nonce)
+    walk = iter(entries)
+    shards = tx_shard_indices(level, map(operator.attrgetter("tx"), entries), nonce) if level else itertools.repeat(0)
     chosen: list[list[MempoolEntry]] = [[] for _ in range(2**level)]
     room: list[int | None] = [cap_bytes] * len(chosen)  # None once the shard has stopped
     filling = len(chosen)
     rest: list[MempoolEntry] = []
-    for i, (entry, shard) in enumerate(zip(entries, shards)):
+    for entry, shard in zip(walk, shards):
         left = room[shard]
         if left is not None:
             size = entry.tx.size_bytes
@@ -181,7 +175,8 @@ def take_by_fee_rate(
             room[shard] = None
             filling -= 1
             if not filling:
-                rest += entries[i:]
+                rest.append(entry)
+                rest += walk
                 break
         rest.append(entry)
     return chosen, rest
@@ -412,7 +407,7 @@ class _Run:
 
     def _mine_level(self, level: int, parent_ref: bytes, seq: int) -> SubBlock:
         """Fill one flat level by fee rate under its cap, mine it from now and accept it."""
-        chosen, self.mempool[level] = take_by_fee_rate(self.mempool[level], self.caps[level])
+        [chosen], self.mempool[level] = take_by_fee_rate(self.mempool[level], self.caps[level])
         self._evict(self.mempool[level], self.pool_limits[level])
         bits = self.cfg.header_bits + sum(e.size_bits for e in chosen)
         dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
@@ -916,7 +911,7 @@ class _ConcurrentRun(_Run):
         def mine(chain: tuple[int, int], now: float, sweep: bool):
             nonlocal references_mined
             level, shard = chain
-            chosen, rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
+            [chosen], rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
             self._evict(rest, chain_pool_limit[level])
             chain_mempool[chain] = rest
             refs = []
