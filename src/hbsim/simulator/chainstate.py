@@ -98,7 +98,8 @@ class ChainState:
         # can be sampled in O(#buckets) regardless of registry size
         self._buckets: dict[int, list[bytes]] = {}
         self._bucket_keys: list[int] = []
-        self._pos: dict[bytes, tuple[int, int]] = {}
+        # each output's position in its bucket, keyed like the bucket by its value
+        self._pos: dict[bytes, int] = {}
         # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
         # grand total appended; None once _add or _remove has moved a count
         self._starts: list[int] | None = None
@@ -123,19 +124,20 @@ class ChainState:
         if bucket is None:
             bucket = self._buckets[key] = []
             bisect.insort(self._bucket_keys, key)
-        self._pos[output_id] = (key, len(bucket))
+        self._pos[output_id] = len(bucket)
         bucket.append(output_id)
         self._starts = None
         self.total_unspent += value
 
     def _remove(self, output_id: bytes) -> int:
         value = self.unspent.pop(output_id)
-        key, pos = self._pos.pop(output_id)
+        pos = self._pos.pop(output_id)
+        key = value.bit_length()
         bucket = self._buckets[key]
         last = bucket.pop()
         if last != output_id:
             bucket[pos] = last
-            self._pos[last] = (key, pos)
+            self._pos[last] = pos
         if not bucket:
             del self._buckets[key]
             self._bucket_keys.remove(key)

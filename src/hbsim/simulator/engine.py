@@ -911,9 +911,11 @@ class _ConcurrentRun(_Run):
         def mine(chain: tuple[int, int], now: float, sweep: bool):
             nonlocal references_mined
             level, shard = chain
-            [chosen], rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
-            self._evict(rest, chain_pool_limit[level])
-            chain_mempool[chain] = rest
+            chosen = []
+            if chain_mempool[chain]:
+                [chosen], rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
+                self._evict(rest, chain_pool_limit[level])
+                chain_mempool[chain] = rest
             refs = []
             if level < num_levels - 1:
                 for kid in ((level + 1, 2 * shard), (level + 1, 2 * shard + 1)):

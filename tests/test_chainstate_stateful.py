@@ -215,9 +215,7 @@ class ChainStateMachine(RuleBasedStateMachine):
         assert s._pos.keys() == s.unspent.keys()
         assert sum(map(len, s._buckets.values())) == len(s.unspent)
         for output_id, value in s.unspent.items():
-            key, i = s._pos[output_id]
-            assert key == value.bit_length()
-            assert s._buckets[key][i] == output_id
+            assert s._buckets[value.bit_length()][s._pos[output_id]] == output_id
         if s._starts is not None:
             counts = (len(s._buckets[key]) for key in s._bucket_keys)
             assert s._starts == list(itertools.accumulate(counts, initial=0))

@@ -122,6 +122,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="malformed row 3:"):
             load_dataset(path)
 
+    def test_short_row_without_txid_reports_line(self, tmp_path):
+        """A short row that lacks only its txid names the row, whatever its value."""
+        path = tmp_path / "d.csv"
+        for value in (5, 0):
+            path.write_text(f"block_height,size,output_value,txid\n1,10,5,aa\n2,20,{value}\n")
+            with pytest.raises(ValueError, match="malformed row 3: missing txid"):
+                load_dataset(path)
+
     def test_negative_value_rejected_with_row(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, HEADER, [[1, "aa", 10, 5], [2, "bb", 20, -7]])
