@@ -73,8 +73,9 @@ _NUL, _LF, _CR, _QUOTE, _COMMA = b'\0\n\r",'
 
 
 def _digit_column(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the fields ending before ``ends``, or None unless
-    every field is 1-18 ASCII digits. ``words[i]`` is the 8-byte word at byte i.
+    """The int64 values of the fields at bytes ``[starts, ends)``, or None
+    unless every field is 1-18 ASCII digits. ``words[i]`` is the 8-byte word
+    at byte i.
 
     The bytes of a word that lie before its field are zeroed, so they read as
     leading zeros. Each word's eight digits are combined in three
