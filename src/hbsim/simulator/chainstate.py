@@ -98,7 +98,7 @@ class ChainState:
         # can be sampled in O(#buckets) regardless of registry size
         self._buckets: dict[int, list[bytes]] = {}
         self._bucket_keys: list[int] = []
-        # each output's position in its bucket, keyed like the bucket by its value
+        # each output's index in its bucket, which is _buckets[value.bit_length()]
         self._pos: dict[bytes, int] = {}
         # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
         # grand total appended; None once _add or _remove has moved a count
