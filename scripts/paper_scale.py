@@ -1,13 +1,13 @@
 """Time the analysis path at paper scale: load, segment(6), level_stats, estimate.
 
-    python3 scripts/paper_scale.py [--repeats 5] [--src DIR]
+    python3 scripts/paper_scale.py [--src DIR]
 
 Writes the ``hbsim gen --seed 3 --rate 132 --duration 7200`` dataset
-(948,370 rows, 76 MB) once into a temporary directory. Then each repeat
-runs the path in a fresh Python process that imports ``hbsim`` from ``--src``
-(default: this checkout's ``src/``), times every step in host seconds and
-reads the process's peak RSS (``ru_maxrss``) after it. Prints the median of
-each figure over the repeats.
+(948,370 rows, 76 MB) once into a temporary directory. Then each of
+``REPEATS`` repeats runs the path in a fresh Python process that imports
+``hbsim`` from ``--src`` (default: this checkout's ``src/``), times every
+step in host seconds and reads the process's peak RSS (``ru_maxrss``) after
+it. Prints the median of each figure over the repeats.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GEN = ["gen", "--seed", "3", "--rate", "132", "--duration", "7200", "--out", "paper.csv"]
 STEPS = ("load", "segment", "level_stats", "estimate")
+REPEATS = 5
 
 # One repeat: prints {step: [seconds, peak RSS in MB after the step]} as JSON.
 CHILD = """
@@ -50,7 +51,6 @@ print(json.dumps(out))
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5, help="fresh processes to time (default 5)")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory to import hbsim from")
     args = parser.parse_args()
     env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src)}
@@ -59,11 +59,11 @@ def main() -> int:
         subprocess.run([sys.executable, "-c", gen, *GEN, "--out-dir", tmp], env=env, check=True)
         path = os.path.join(tmp, "paper.csv")
         runs = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             child = [sys.executable, "-c", CHILD, path]
             proc = subprocess.run(child, env=env, check=True, capture_output=True)
             runs.append(json.loads(proc.stdout))
-    print(f"{args.repeats} fresh processes, hbsim from {args.src}")
+    print(f"{REPEATS} fresh processes, hbsim from {args.src}")
     print("median host seconds and peak RSS after each step")
     for name in STEPS:
         seconds = statistics.median(run[name][0] for run in runs)

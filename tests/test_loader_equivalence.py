@@ -1,7 +1,7 @@
 """``load_dataset`` against a ``csv.DictReader`` + ``int()`` oracle.
 
-Each case is one data row (or a line ending, or the end of the file) that a
-plain-looking chunk may or may not hold. It is loaded on its own and in the
+Each case is one or two data rows (or a line ending, or the end of the file)
+that a plain-looking chunk may or may not hold. It is loaded on its own and in the
 middle of a file of plain rows, at several chunk sizes, so that it falls both
 in the first chunk and after chunks the loader has already parsed. A file
 that loads must give the oracle's rows, counts and ids; a file that does not
@@ -19,7 +19,7 @@ from hbsim.segmentation import txid_to_bytes
 HEADER = "block_height,txid,size,output_value"
 NONE_ARG = "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"
 
-# name: (data row, error reason or None when the file loads)
+# name: (data rows, error reason or None when the file loads)
 CASES = {
     "plus_sign": ("7,aa,+5,9", None),
     "leading_space": ("7,aa, 5,9", None),
@@ -32,6 +32,13 @@ CASES = {
     "negative_size": ("7,aa,-3,9", "size must be >= 1"),
     "empty_field": ("7,aa,,9", "invalid literal for int() with base 10: ''"),
     "empty_height": (",aa,5,9", "invalid literal for int() with base 10: ''"),
+    "17_digit_value": (f"7,aa,5,{42:017d}", None),
+    "17_digit_2_53_size": (f"7,aa,{2**53:017d},9", "output_value and size must be below 2^53"),
+    "18_digit_size": (f"7,aa,{5:018d},9", None),
+    "18_digit_largest_value": (f"7,aa,5,{2**53 - 1:018d}", None),
+    "18_digit_zero_value": (f"7,aa,5,{0:018d}", None),
+    "18_digit_height_same_block": (f"{7:018d},aa,5,9\n7,bb,5,9", None),
+    "18_digit_height_then_19": (f"{10**18 - 1},aa,5,9\n{10**18 - 1:019d},bb,5,9", None),
     "19_digit_size": ("7,aa,0000000000000000007,9", None),
     "19_digit_zero_value": ("7,aa,5,0000000000000000000", None),
     "19_digit_value": ("7,aa,5,1000000000000000000", "output_value and size must be below 2^53"),
