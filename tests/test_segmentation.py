@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hbsim.core import ExtendedTransaction, value_per_bit
 from hbsim.dataio import DatasetRow, load_dataset, write_dataset
+from hbsim import segmentation
 from hbsim.segmentation import (
     MODE_ROUNDED,
     MODE_UNIFORM,
@@ -203,6 +204,26 @@ TIE_VALUES = [8, 16, 24, 32, 80, 800, 8000, 3, 7, 10**12 + 1, 2**53 - 1]
 TIE_SIZES = [1, 2, 3, 4, 250]
 PLAIN_TXIDS = ["aa", "ab", "00ff", "tx-1", "zz", ""]
 QUOTED_TXIDS = PLAIN_TXIDS + ['a,"b"']
+# Equal-length lowercase hex ids sort like their decoded bytes; these share
+# long prefixes, so a tie is decided deep inside the id.
+_PREFIX = "0123456789abcdef" * 3 + "fedcba98765432"
+HEX_TXIDS = [_PREFIX + "00", _PREFIX + "0f", _PREFIX + "f0", _PREFIX[:-1] + "310", "ff" + _PREFIX]
+SHORT_HEX_TXIDS = ["aa", "ab", "0f", "f0", "a0"]
+# Pools that mix those ids with ids whose text order is not their byte order
+# or that do not decode as hex: uppercase (decodes equal to lowercase), split
+# by a space (decodes like "abcd"), odd length (kept as UTF-8), other lengths.
+TXID_POOLS = [
+    PLAIN_TXIDS,
+    QUOTED_TXIDS,
+    HEX_TXIDS,
+    SHORT_HEX_TXIDS,
+    HEX_TXIDS + [t.upper() for t in HEX_TXIDS[:2]],
+    SHORT_HEX_TXIDS + ["AB", "ab cd", "abcd"],
+    SHORT_HEX_TXIDS + ["abc"],
+    HEX_TXIDS + SHORT_HEX_TXIDS,
+]
+# (value, size) pairs that all have beta 1.
+SAME_BETA = [(8, 1), (16, 2), (24, 3), (32, 4), (2000, 250)]
 
 
 def _fields(txs):
@@ -247,14 +268,14 @@ class TestScalarOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(min_value=1, max_value=7), st.sampled_from([MODE_UNIFORM, MODE_ROUNDED]))
     def test_table_loaded_from_csv(self, tmp_path_factory, data, num_levels, mode):
-        txids = data.draw(st.sampled_from([PLAIN_TXIDS, QUOTED_TXIDS]))
+        txids = data.draw(st.sampled_from(TXID_POOLS))
+        if data.draw(st.booleans()):
+            value_size = st.tuples(st.sampled_from(TIE_VALUES + [0]), st.sampled_from(TIE_SIZES))
+        else:
+            value_size = st.sampled_from(SAME_BETA)
         rows = data.draw(
             st.lists(
-                st.tuples(
-                    st.sampled_from(TIE_VALUES + [0]),
-                    st.sampled_from(TIE_SIZES),
-                    st.sampled_from(txids),
-                ),
+                st.tuples(value_size, st.sampled_from(txids)).map(lambda r: (*r[0], r[1])),
                 min_size=1,
                 max_size=40,
             ).filter(lambda rs: any(v for v, _, _ in rs))
@@ -271,3 +292,32 @@ class TestScalarOracle:
         assert summary.dropped_zero_value == len(rows) - len(reference)
         assert _fields(table) == _fields(reference)
         assert_matches_scalar_oracle(table, reference, num_levels, mode)
+
+    def test_equal_betas_take_one_log10_per_row_at_most(self, tmp_path, monkeypatch):
+        """Every row has beta 1.5, so in uniform mode every row lies on every cut point."""
+        rng = random.Random(5)
+        pairs = [(12, 1), (24, 2), (36, 3), (3000, 250)]
+        rows = [(*rng.choice(pairs), rng.randbytes(32).hex()) for _ in range(500)]
+        path = tmp_path / "d.csv"
+        write_dataset(path, [DatasetRow(7, t, s, v) for v, s, t in rows])
+        table, _ = load_dataset(path)
+        reference = [ExtendedTransaction(id=bytes.fromhex(t), value=v, size_bytes=s) for v, s, t in rows]
+
+        class CountingMath:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log10(self, x):
+                self.calls += 1
+                return math.log10(x)
+
+        for mode in (MODE_UNIFORM, MODE_ROUNDED):
+            for num_levels in (1, 2, 6):
+                counting = CountingMath()
+                monkeypatch.setattr(segmentation, "math", counting)
+                segment(num_levels, table, mode=mode)
+                assert counting.calls <= len(rows)
+                monkeypatch.undo()
+                assert_matches_scalar_oracle(table, reference, num_levels, mode)
