@@ -11,8 +11,15 @@ results are those of a per-transaction loop, bit for bit:
 
 - beta is ``value / (8 * size)``, one correctly rounded division;
 - the lg values that place transactions and set the cut points come from
-  ``math.log10`` (numpy's ``log10`` can differ from it in the last bit; the
-  log-normal fit and the histogram use numpy's);
+  ``math.log10``. numpy's ``log10`` can differ from it in the last bit, so it
+  only screens rows: a row whose numpy lg lies within ``_LG_SCREEN`` (1e-9)
+  of a cut point gets ``math.log10``, and every other row is on the same side
+  of each cut point by either function. The log-normal fit and the histogram
+  use numpy's;
+- ties in beta are ordered by id: for a loaded table whose tied txids are all
+  lowercase hex of one even, non-zero length, by one numpy sort of their text,
+  which orders them like their decoded bytes; any other tie set through the
+  decoded ids, row by row;
 - ``beta_mean`` is a sequential left-to-right sum of the level's betas in
   descending-beta order, divided by the count;
 - integer totals (value, size, bits) are exact Python ints, whatever their
@@ -27,12 +34,18 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ExtendedTransaction
 
 MODE_UNIFORM = "uniform"
 MODE_ROUNDED = "rounded"
 _ITER_ROWS = 1 << 12
+_LOWER_HEX = b"0123456789abcdef"
+# numpy's log10 lies within a few ulp of math.log10, under 1e-13 for any
+# float64 lg; a row further than this from a cut point is on the same side of
+# it by either function.
+_LG_SCREEN = 1e-9
 
 
 def txid_to_bytes(txid: str) -> bytes:
@@ -90,6 +103,26 @@ class TransactionTable(Sequence[ExtendedTransaction]):
         ends = self._offsets[rows + 1].tolist()
         return [txid_to_bytes(txids[a:b].decode()) for a, b in zip(starts, ends)]
 
+    def hex_ids(self, rows: np.ndarray) -> np.ndarray | None:
+        """The txid texts at ``rows`` as one row of bytes each, if they sort like the ids.
+
+        That holds for a loaded table whose txids at ``rows`` (at least one)
+        are all lowercase hex of one even, non-zero length: each decodes to
+        its hex bytes, and equal-length lowercase hex text sorts like those
+        bytes. Otherwise None.
+        """
+        if self._objects is not None:
+            return None
+        starts = self._offsets[rows]
+        lengths = self._offsets[rows + 1] - starts
+        width = int(lengths[0])
+        if width == 0 or width % 2 or (lengths != width).any():
+            return None
+        text = sliding_window_view(np.frombuffer(self._txids, dtype=np.uint8), width)[starts]
+        if text.tobytes().translate(None, _LOWER_HEX):
+            return None
+        return text
+
     def take(self, rows: np.ndarray) -> tuple[ExtendedTransaction, ...]:
         """The transactions at ``rows``, in that order."""
         if self._objects is not None:
@@ -143,11 +176,13 @@ class Segmentation:
     to the higher-beta level.
 
     ``order`` lists the table's rows by descending beta, ties by id and then
-    row; level l is the run ``order[cuts[l]:cuts[l+1]]``.
+    row; level l is the run ``order[cuts[l]:cuts[l+1]]``. ``ranked_beta`` is
+    the beta column in that order.
     """
 
     table: TransactionTable
     order: np.ndarray
+    ranked_beta: np.ndarray
     cuts: tuple[int, ...]
     boundaries: tuple[float, ...]
     mode: str
@@ -235,7 +270,44 @@ def _order_ties_by_id(table: TransactionTable, order: np.ndarray, ranked: np.nda
     at = np.flatnonzero(tied)
     run = np.r_[0, np.cumsum(ranked[at[1:]] != ranked[at[:-1]])]
     rows = order[at]
-    order[at] = [row for *_, row in sorted(zip(run.tolist(), table.ids(rows), rows.tolist()))]
+    text = table.hex_ids(rows)
+    if text is None:
+        order[at] = [row for *_, row in sorted(zip(run.tolist(), table.ids(rows), rows.tolist()))]
+        return
+    # One key per tied row: its run, txid text and row, compared as raw bytes
+    # (unstructured void values compare bytewise); runs and rows are big-endian.
+    key = np.concatenate([_big_endian_bytes(run), text, _big_endian_bytes(rows)], axis=1)
+    order[at] = rows[np.argsort(key.view(f"V{key.shape[1]}").ravel())]
+
+
+def _big_endian_bytes(ints: np.ndarray) -> np.ndarray:
+    """Non-negative ints as rows of 8 big-endian bytes, which sort like the ints."""
+    return ints.astype(">u8").view(np.uint8).reshape(-1, 8)
+
+
+def _cuts(ranked: np.ndarray, lg_max: float, lg_min: float, bounds: Sequence[float]) -> tuple[int, ...]:
+    """The row of ``ranked`` at which each level starts, plus the row count.
+
+    After each bound a level starts at the first row, at or after the previous
+    level's start, whose ``math.log10`` falls below the bound. numpy's log10
+    screens the rows: only a row within ``_LG_SCREEN`` of some bound gets
+    ``math.log10``, once. ``lg_max`` and ``lg_min`` are ``math.log10`` of the
+    first and last rows and stand in for theirs.
+    """
+    n = len(ranked)
+    lg = np.log10(ranked)
+    near = np.zeros(n, dtype=bool)
+    for bound in bounds:
+        near |= np.abs(lg - bound) < _LG_SCREEN
+    near[[0, -1]] = False
+    lg[near] = [math.log10(beta) for beta in ranked[near].tolist()]
+    lg[0], lg[-1] = lg_max, lg_min
+    cuts = [0]
+    for bound in bounds:
+        below = lg[cuts[-1] :] < bound
+        cuts.append(cuts[-1] + int(below.argmax()) if below.any() else n)
+    cuts.append(n)
+    return tuple(cuts)
 
 
 def segment(
@@ -247,9 +319,11 @@ def segment(
 
     The transactions are sorted by beta descending, ties broken by id and
     then by position in ``txs``. Each level ends at the first transaction
-    after its start whose lg(beta) falls below the next cut point. ``mode`` selects how the interval step is computed:
-    ``uniform`` spans exactly the observed lg-beta range, ``rounded`` widens
-    it to whole decades before dividing.
+    after its start whose lg(beta) falls below the next cut point.
+
+    ``mode`` selects how the interval step is computed: ``uniform`` spans
+    exactly the observed lg-beta range, ``rounded`` widens it to whole
+    decades before dividing.
     """
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
@@ -262,23 +336,21 @@ def segment(
     ranked = table.beta[order]
     _order_ties_by_id(table, order, ranked)
     order.setflags(write=False)
-    n = len(order)
-    lg = np.fromiter(map(math.log10, ranked), dtype=np.float64, count=n)
-    lg_max = float(lg[0])
-    lg_min = float(lg[-1])
+    ranked.setflags(write=False)
+    lg_max = math.log10(ranked[0])
+    lg_min = math.log10(ranked[-1]) if len(ranked) > 1 else lg_max
     if mode == MODE_UNIFORM:
         step = (lg_max - lg_min) / num_levels
     else:
         step = (math.ceil(lg_max) - math.floor(lg_min)) / num_levels
     boundaries = _boundaries(lg_max, step, num_levels)
-
-    cuts = [0]
-    for bound in boundaries[1:num_levels]:
-        below = lg[cuts[-1] :] < bound
-        cuts.append(cuts[-1] + int(below.argmax()) if below.any() else n)
-    cuts.append(n)
     return Segmentation(
-        table=table, order=order, cuts=tuple(cuts), boundaries=boundaries, mode=mode
+        table=table,
+        order=order,
+        ranked_beta=ranked,
+        cuts=_cuts(ranked, lg_max, lg_min, boundaries[1:num_levels]),
+        boundaries=boundaries,
+        mode=mode,
     )
 
 
@@ -319,12 +391,12 @@ def summarize_level(txs: Iterable[ExtendedTransaction]) -> LevelSummary:
 
 def level_stats(seg: Segmentation) -> LevelStats:
     """Per-level summary statistics of a segmentation."""
-    table = seg.table
-    summaries = []
-    for l in range(seg.num_levels):
-        rows = seg.rows(l)
-        summaries.append(_summary(table.beta[rows], table.values[rows], table.sizes[rows]))
-    return LevelStats(tuple(summaries))
+    beta = seg.ranked_beta
+    values = seg.table.values[seg.order]
+    sizes = seg.table.sizes[seg.order]
+    return LevelStats(
+        tuple(_summary(beta[a:b], values[a:b], sizes[a:b]) for a, b in zip(seg.cuts, seg.cuts[1:]))
+    )
 
 
 def fit_lognormal(txs: Sequence[ExtendedTransaction]) -> LogNormalFit:

@@ -130,6 +130,32 @@ class TestSegment:
             segment(0, [make_tx(1, 1)])
 
 
+class TestCutSearch:
+    def test_bound_within_an_ulp_of_a_row_numpy_places_differently(self):
+        """The cut follows math.log10 where numpy's log10 is one ulp off it.
+
+        Bounds at, one ulp above and one ulp below math.log10 of such a row put
+        it on the other side of the bound by numpy's value in one of the three.
+        """
+        rng = np.random.default_rng(0)
+        candidates = np.maximum(1, np.rint(10.0 ** rng.normal(3, 1, 20_000) * 3200)) / 3200
+        lg_numpy = np.log10(candidates)
+        lg_math = np.array([math.log10(beta) for beta in candidates.tolist()])
+        higher = candidates[lg_numpy > lg_math]
+        lower = candidates[lg_numpy < lg_math]
+        if not (len(higher) and len(lower)):
+            pytest.skip("numpy's log10 is not above and below math.log10 on any candidate here")
+        for beta in (float(higher[0]), float(lower[0])):
+            ranked = np.array([beta * 100, beta, beta, beta / 100])
+            lg_ends = (math.log10(ranked[0]), math.log10(ranked[-1]))
+            lg = math.log10(beta)
+            bounds = [float(np.nextafter(lg, np.inf)), lg, float(np.nextafter(lg, -np.inf))]
+            for bound in bounds:
+                first_below = next(i for i, b in enumerate(ranked.tolist()) if math.log10(b) < bound)
+                assert segmentation._cuts(ranked, *lg_ends, [bound]) == (0, first_below, 4)
+            assert segmentation._cuts(ranked, *lg_ends, bounds) == (0, 1, 3, 3, 4)
+
+
 class TestLevelStats:
     def test_singleton_level(self):
         seg = segment(2, [make_tx(8000, 1), make_tx(8, 1)])
