@@ -36,6 +36,7 @@ Compare two files only when they were recorded on the same host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -45,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -65,6 +67,39 @@ if name in SIMULATOR_RUNS:
 
 def git(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+
+
+def resolve_base(base: str) -> str:
+    """``base`` as a short sha that differs from the checked-out commit; exits 2 otherwise."""
+    base_sha = git("rev-parse", "--short", base).stdout.strip()
+    if not base_sha:
+        sys.stderr.write(f"unknown base commit {base!r}\n")
+        raise SystemExit(2)
+    if base_sha == git("rev-parse", "--short", "HEAD").stdout.strip():
+        sys.stderr.write(f"base {base_sha} is the checked-out commit; nothing to pair\n")
+        raise SystemExit(2)
+    return base_sha
+
+
+@contextlib.contextmanager
+def worktree(sha: str) -> Iterator[Path]:
+    """Check ``sha`` out into a temporary ``git worktree``, removed on exit.
+
+    A terminated script still removes it: SIGTERM becomes SystemExit, which
+    runs the ``finally`` below. Exits 2 if the checkout fails.
+    """
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmpdir:
+        root = Path(tmpdir) / f"base-{sha}"
+        added = git("worktree", "add", "--detach", str(root), sha)
+        if added.returncode:
+            sys.stderr.write(added.stderr)
+            raise SystemExit(2)
+        try:
+            yield root
+        finally:
+            git("worktree", "remove", "--force", str(root))
+            git("worktree", "prune")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -187,35 +222,18 @@ def main(argv: list[str] | None = None) -> int:
         write(sha, record(ROOT, sha, bench, workloads))
         return 0 if clean(workloads) else 1
 
-    base_sha = git("rev-parse", "--short", args.base).stdout.strip()
-    if not base_sha:
-        sys.stderr.write(f"unknown base commit {args.base!r}\n")
-        return 2
-    if base_sha == sha:
-        sys.stderr.write(f"base {base_sha} is the checked-out commit; nothing to pair\n")
-        return 2
+    base_sha = resolve_base(args.base)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    # a terminated recording still removes its worktree: SystemExit runs the finally below
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmpdir:
-        base_root = Path(tmpdir) / f"base-{base_sha}"
-        added = git("worktree", "add", "--detach", str(base_root), base_sha)
-        if added.returncode:
-            sys.stderr.write(added.stderr)
-            return 2
-        try:
-            runs: dict[str, dict[str, list[dict]]] = {name: {"head": [], "base": []} for name in names}
-            for name in names:
-                for i, seed in enumerate(SEEDS):
-                    order = [("base", base_root), ("head", ROOT)]
-                    for side, root in order if i % 2 == 0 else order[::-1]:
-                        runs[name][side].append(measure(root, name, seed, seconds))
-            base_workloads = {name: workload_summary(runs[name]["base"], metrics) for name in names}
-            head_workloads = {name: workload_summary(runs[name]["head"], metrics) for name in names}
-            base_record = record(base_root, base_sha, bench, base_workloads)
-        finally:
-            git("worktree", "remove", "--force", str(base_root))
-            git("worktree", "prune")
+    with worktree(base_sha) as base_root:
+        runs: dict[str, dict[str, list[dict]]] = {name: {"head": [], "base": []} for name in names}
+        for name in names:
+            for i, seed in enumerate(SEEDS):
+                order = [("base", base_root), ("head", ROOT)]
+                for side, root in order if i % 2 == 0 else order[::-1]:
+                    runs[name][side].append(measure(root, name, seed, seconds))
+        base_workloads = {name: workload_summary(runs[name]["base"], metrics) for name in names}
+        head_workloads = {name: workload_summary(runs[name]["head"], metrics) for name in names}
+        base_record = record(base_root, base_sha, bench, base_workloads)
     head_record = record(ROOT, sha, bench, head_workloads)
     head_record["paired"] = {
         "base": base_sha,
