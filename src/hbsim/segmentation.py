@@ -42,9 +42,9 @@ MODE_UNIFORM = "uniform"
 MODE_ROUNDED = "rounded"
 _ITER_ROWS = 1 << 12
 _LOWER_HEX = b"0123456789abcdef"
-# numpy's log10 lies within a few ulp of math.log10, under 1e-13 for any
-# float64 lg; a row further than this from a cut point is on the same side of
-# it by either function.
+# numpy's log10 lies within a few ulp of math.log10, and an ulp of any float64
+# lg (|lg| < 324) is below 1e-13; a row further than this from a cut point is
+# on the same side of it by either function.
 _LG_SCREEN = 1e-9
 
 
