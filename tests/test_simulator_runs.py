@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -8,7 +9,7 @@ from hbsim.dataio import WorkloadSpec
 from hbsim.economics import homotopy_lambda
 from hbsim.segmentation import LevelStats, LevelSummary
 from hbsim.economics import compute_c_eta_flat
-from hbsim.simulator import SimConfig, SubBlock, equal_miners, simulate
+from hbsim.simulator import SimConfig, SubBlock, engine, equal_miners, simulate
 
 WORKLOAD = WorkloadSpec(rate=0.2, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode="fixed", size_params=(400,))
 
@@ -271,6 +272,58 @@ class TestTreeRun:
         assert result.pvalue > 0.01
 
 
+class _ReferenceSpy:
+    """Records every block concurrent mode builds and recomputes its reference
+    audit with Python sets.
+
+    Each chain's not-yet-referenced digests are replayed as a queue: a parent
+    takes up to ``max_child_batch`` from the front of its first child chain's
+    queue, then of its second, and the spy checks that the block's
+    ``child_refs`` are exactly those.
+    """
+
+    def __init__(self, monkeypatch, max_child_batch):
+        self.max_child_batch = max_child_batch
+        self.queues: dict[tuple[int, int], list[bytes]] = {}
+        self.referenced: set[bytes] = set()
+        self.references_mined = 0
+        self.roots: set[bytes] = set()
+        self.first_root_period: dict[bytes, int] = {}
+        self.remined_after_root = 0
+        build = engine._ConcurrentRun._block
+        monkeypatch.setattr(
+            engine._ConcurrentRun, "_block", lambda run, *args: self.record(build(run, *args))
+        )
+
+    def record(self, block):
+        taken = []
+        for kid in ((block.level + 1, 2 * block.shard), (block.level + 1, 2 * block.shard + 1)):
+            queue = self.queues.get(kid, [])
+            take = len(queue) if self.max_child_batch is None else min(len(queue), self.max_child_batch)
+            taken += queue[:take]
+            del queue[:take]
+        assert list(block.child_refs) == taken
+        self.referenced.update(taken)
+        self.references_mined += len(taken)
+        digest = block.digest()
+        period = len(self.roots)
+        if self.first_root_period.setdefault(digest, period) < period:
+            self.remined_after_root += 1
+        if block.level > 0:
+            self.queues.setdefault((block.level, block.shard), []).append(digest)
+        elif block.shard == 0:
+            self.roots.add(digest)
+        return block
+
+    def audit(self) -> dict:
+        orphans = len(set().union(*self.queues.values()) - self.referenced)
+        return {
+            "blocks": len(self.referenced) + orphans + len(self.roots),
+            "orphans": orphans,
+            "multi_referenced": self.references_mined - len(self.referenced),
+        }
+
+
 class TestConcurrentRun:
 
     def test_per_chain_block_time_means(self, concurrent_report):
@@ -342,6 +395,43 @@ class TestConcurrentRun:
         level1_blocks = per_chain["1,0"]["blocks"] + per_chain["1,1"]["blocks"]
         assert level1_blocks > 2
         assert report.concurrent["audit"]["multi_referenced"] == level1_blocks - 2
+
+    @pytest.mark.parametrize(
+        "colliding, max_child_batch",
+        [(True, None), (False, 2), (True, 2)],
+        ids=["colliding-digests", "batch-2-orphans", "colliding-batch-2"],
+    )
+    def test_reference_audit_matches_set_oracle(self, monkeypatch, colliding, max_child_batch):
+        """The audit equals the set formulas recomputed from every child
+        reference batch the run built, with digests that repeat after a root
+        block has settled their first copy, and with orphans."""
+        if colliding:
+            # a chain's digest repeats every third block, within and across root periods
+            monkeypatch.setattr(
+                SubBlock,
+                "digest",
+                lambda self: hashlib.sha256(bytes([self.level, self.shard, self.seq % 3])).digest(),
+            )
+        spy = _ReferenceSpy(monkeypatch, max_child_batch)
+        cfg = SimConfig(
+            mode="concurrent",
+            num_levels=3,
+            duration=600.0 * 40,
+            seed=9,
+            workload=WORKLOAD,
+            retarget_window=16,
+            max_child_batch=max_child_batch,
+            chain_target_times=(429.0, 124.0, 44.5),
+        )
+        audit = simulate(cfg).concurrent["audit"]
+        assert audit == spy.audit()
+        if colliding:
+            assert audit["multi_referenced"] > 0
+            assert spy.remined_after_root > 0
+        if max_child_batch is not None:
+            assert any(spy.queues.values())
+            # colliding orphans share their digests with referenced blocks
+            assert (audit["orphans"] > 0) != colliding
 
     def test_conservation(self, concurrent_report):
         assert concurrent_report.conservation_violations == 0
