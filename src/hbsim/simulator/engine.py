@@ -19,7 +19,10 @@ import math
 import operator
 import random
 import statistics
+from array import array
 from dataclasses import replace
+
+import numpy as np
 
 from ..core import SATOSHI_PER_BTC, ExtendedTransaction
 from ..dataio import draw_value_size
@@ -842,6 +845,8 @@ class _ConcurrentRun(_Run):
     latency when its block is mined, and its root-path latency when a level-0
     block settles the subtree holding its block. Only unsettled blocks are
     kept, with their child references and their transactions' arrival times.
+    What grows with the run is packed: 8 bytes per latency sample and 32
+    bytes per child reference, the log the reference audit is counted from.
     """
 
     def run(self) -> SimReport:
@@ -850,13 +855,13 @@ class _ConcurrentRun(_Run):
         chains = [(l, s) for l in range(num_levels) for s in range(2**l)]
         chain_mempool: dict[tuple[int, int], list[MempoolEntry]] = {c: [] for c in chains}
         unreferenced: dict[tuple[int, int], list[bytes]] = {c: [] for c in chains}
-        referenced: set[bytes] = set()
-        references_mined = 0
+        # every child reference mined, as 32 digest bytes each
+        reference_log = bytearray()
         root_digests: set[bytes] = set()
         # digest -> (level, child refs, arrival times of the block's transactions)
-        unsettled: dict[bytes, tuple[int, tuple[bytes, ...], list[float]]] = {}
-        inclusion: list[list[float]] = [[] for _ in range(num_levels)]
-        rootpath: list[list[float]] = [[] for _ in range(num_levels)]
+        unsettled: dict[bytes, tuple[int, tuple[bytes, ...], array]] = {}
+        inclusion = [array("d") for _ in range(num_levels)]
+        rootpath = [array("d") for _ in range(num_levels)]
         chain_dt_sum = {c: 0.0 for c in chains}
         chain_blocks = {c: 0 for c in chains}
         chain_last = {c: 0.0 for c in chains}
@@ -909,7 +914,6 @@ class _ConcurrentRun(_Run):
                 stack.extend(refs)
 
         def mine(chain: tuple[int, int], now: float, sweep: bool):
-            nonlocal references_mined
             level, shard = chain
             chosen = []
             if chain_mempool[chain]:
@@ -937,9 +941,8 @@ class _ConcurrentRun(_Run):
             dt = now - chain_last[chain]
             self._accept(block, chosen, dt, nonce=None, check_shard=True)
             digest = block.digest()
-            references_mined += len(refs)
-            referenced.update(refs)
-            arrivals = [e.arrival for e in chosen]
+            reference_log.extend(b"".join(refs))
+            arrivals = array("d", [e.arrival for e in chosen])
             inclusion[level].extend(now - arrival for arrival in arrivals)
             unsettled[digest] = (level, block.child_refs, arrivals)
             if level > 0:
@@ -972,20 +975,15 @@ class _ConcurrentRun(_Run):
                     self.t = t_sweep
                     mine((level, shard), t_sweep, sweep=True)
 
-        # orphans: blocks no parent referenced; they and their subtrees stay unsettled
-        orphans = len(set().union(*unreferenced.values()) - referenced)
-
-        def summarize(values: list[float]) -> dict | None:
-            if not values:
-                return None
-            values = sorted(values)
-            return {
-                "count": len(values),
-                "median": statistics.median(values),
-                "mean": statistics.fmean(values),
-                "p10": values[int(0.1 * (len(values) - 1))],
-                "p90": values[int(0.9 * (len(values) - 1))],
-            }
+        # Sorted once at the end, the reference log gives the distinct referenced
+        # digests; orphans are the digests left unreferenced that it never holds.
+        referenced = np.frombuffer(reference_log, dtype="V32")
+        referenced.sort()
+        distinct = int(np.count_nonzero(referenced[1:] != referenced[:-1])) + (len(referenced) > 0)
+        left = np.frombuffer(b"".join(set().union(*unreferenced.values())), dtype="V32")
+        at = np.searchsorted(referenced, left)
+        inside = at < len(referenced)
+        orphans = len(left) - int(np.count_nonzero(referenced[at[inside]] == left[inside]))
 
         report = self._finalize()
         report.concurrent = {
@@ -999,17 +997,41 @@ class _ConcurrentRun(_Run):
                 }
                 for (l, s) in chains
             },
-            "inclusion_latency": {str(l): summarize(inclusion[l]) for l in range(num_levels)},
-            "root_path_latency": {str(l): summarize(rootpath[l]) for l in range(num_levels)},
+            "inclusion_latency": {str(l): summarize_latencies(inclusion[l]) for l in range(num_levels)},
+            "root_path_latency": {str(l): summarize_latencies(rootpath[l]) for l in range(num_levels)},
             "audit": {
                 # distinct digests: every mined block is a root, referenced or an orphan
-                "blocks": len(referenced) + orphans + len(root_digests),
+                "blocks": distinct + orphans + len(root_digests),
                 "orphans": orphans,
                 # each repeat reference of a child block counts once
-                "multi_referenced": references_mined - len(referenced),
+                "multi_referenced": len(referenced) - distinct,
             },
         }
         return report
+
+
+def summarize_latencies(values: array) -> dict | None:
+    """Count, median, mean, p10 and p90 of latency samples, as Python floats;
+    None for no samples. Sorts ``values`` in place.
+
+    The median averages the two middle samples of an even count, as
+    ``statistics.median`` does; the mean is ``statistics.fmean``, whose
+    correctly rounded sum does not depend on the order; p10 and p90 are the
+    sorted samples at index ``int(q * (n - 1))``.
+    """
+    n = len(values)
+    if not n:
+        return None
+    ordered = np.frombuffer(values, dtype=np.float64)
+    ordered.sort()
+    at = ordered.item
+    return {
+        "count": n,
+        "median": at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2,
+        "mean": statistics.fmean(values),
+        "p10": at(int(0.1 * (n - 1))),
+        "p90": at(int(0.9 * (n - 1))),
+    }
 
 
 # ---------------------------------------------------------------------------

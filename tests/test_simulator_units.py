@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import statistics
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,51 @@ class TestTakeByFeeRate:
         ]
         [chosen], _ = take_by_fee_rate(entries, 10_000)
         assert [e.seq for e in chosen] == [1, 2]
+
+
+def list_summary(values):
+    """The list-based latency summary ``summarize_latencies`` replaces."""
+    if not values:
+        return None
+    values = sorted(values)
+    return {
+        "count": len(values),
+        "median": statistics.median(values),
+        "mean": statistics.fmean(values),
+        "p10": values[int(0.1 * (len(values) - 1))],
+        "p90": values[int(0.9 * (len(values) - 1))],
+    }
+
+
+class TestSummarizeLatencies:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.25],
+            [0.1, 0.2],
+            [5.0, 0.1, 0.2, 7.5, 1e-9, 300.0, 0.30000000000000004],
+            [2.5, 0.1, 0.7, 0.1, 9.0, 0.7, 0.7, 2.5],
+            [1.0] * 6,
+            [0.1 + 0.2, 0.3, 0.1 + 0.2, 1e16, 1.0, -1e16, 0.3],
+        ],
+        ids=["empty", "single", "two", "odd", "even-ties", "all-equal", "cancelling"],
+    )
+    def test_matches_list_summary(self, values):
+        self.check(values)
+
+    def test_matches_list_summary_on_random_counts(self, rng):
+        for n in (*range(1, 12), 99, 100, 1001):
+            self.check([rng.expovariate(1 / 300.0) for _ in range(n)])
+            self.check([rng.choice((0.5, 44.5, 124.0, 1 / 3)) for _ in range(n)])
+
+    @staticmethod
+    def check(values):
+        expected = list_summary(values)
+        got = engine.summarize_latencies(array("d", values))
+        assert got == expected
+        if got is not None:
+            assert [type(v) for v in got.values()] == [int, float, float, float, float]
 
 
 # (fee, size) pairs whose fee rates tie across sizes: fee / (8 * size) is one of 1, 2 or 3
