@@ -279,10 +279,11 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     """
     path = Path(path)
     rows_read = 0
-    empty = np.zeros(0, dtype=np.int64)
     blocks: set[int] = set()
-    values, sizes, txid_lengths = [empty], [empty], [empty]
-    txids_utf8 = bytearray()
+    # Each column grows chunk by chunk as the raw bytes the table then views,
+    # so no list of chunk arrays waits on a concatenating copy at the end.
+    values, sizes, beta, txids_utf8 = bytearray(), bytearray(), bytearray(), bytearray()
+    offsets = bytearray(np.zeros(1, dtype=np.int64))
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
         for col in MANDATORY_COLUMNS:
@@ -292,18 +293,17 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
         for rows, heights, size, value, txids, lengths in _chunks(fh, header, path):
             rows_read += rows
             blocks.update(heights)
-            sizes.append(size)
-            values.append(value)
+            sizes += size.data
+            values += value.data
+            beta += (value / (8 * size)).data
+            offsets += (len(txids_utf8) + np.cumsum(lengths)).data
             txids_utf8 += txids
-            txid_lengths.append(lengths)
-    lengths = np.concatenate(txid_lengths)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
     table = TransactionTable(
-        np.concatenate(values),
-        np.concatenate(sizes),
+        np.frombuffer(values, dtype=np.int64),
+        np.frombuffer(sizes, dtype=np.int64),
+        np.frombuffer(beta, dtype=np.float64),
         txids_utf8=txids_utf8,
-        txid_offsets=offsets,
+        txid_offsets=np.frombuffer(offsets, dtype=np.int64),
     )
     summary = LoadSummary(
         path=str(path),
