@@ -26,9 +26,13 @@ base and head run alternately, one workload and seed at a time, each from its
 own ``src/`` and ``hbbench/``; which side runs first alternates from one seed
 to the next. Both BENCH files are written, and the head's file gains a
 ``paired`` section: for every end-to-end metric and workload, the per-seed
-head/base ratio, the median of those ratios, and the number of seeds on which
-head was better. Only such a pair, taken in one invocation, is evidence of a
-change; two files recorded at different times on a shared host are not.
+head/base ratio, the median of those ratios, the number of seeds on which
+head was better, and the base's median and interquartile range; for every
+simulator workload, ``reports_identical``, the number of seeds whose report
+sha256 matches the base's. A gain holds when head was better on at least 9
+of 10 seeds and its median beats the base's by more than the base's
+interquartile range. Only such a pair, taken in one invocation, is evidence
+of a change; two files recorded at different times on a shared host are not.
 
 Compare two files only when they were recorded on the same host.
 """
@@ -161,17 +165,27 @@ def workload_summary(runs: list[dict], metrics: dict[str, str]) -> dict:
 
 
 def paired_ratios(head: list[dict], base: list[dict], better: dict[str, str]) -> dict:
-    """Per-seed head/base ratio of each metric, their median, and the seeds head was better on."""
+    """Per-seed head/base ratio of each metric, their median, the seeds head
+    was better on, and the base's median and interquartile range over the
+    same pairs; for a simulator workload also the seeds whose reports match.
+    """
     pairs = [(h["metrics"], b["metrics"]) for h, b in zip(head, base) if "metrics" in h and "metrics" in b]
     out = {}
     for name, direction in better.items():
         ratios = [h[name] / b[name] for h, b in pairs]
+        base_stats = summarize([b[name] for _, b in pairs]) if len(pairs) >= 2 else {}
         out[name] = {
             "ratios": ratios,
             "median_ratio": statistics.median(ratios) if ratios else None,
             "head_better_in": sum((r < 1.0) if direction == "lower" else (r > 1.0) for r in ratios),
             "pairs": len(ratios),
+            "base_median": base_stats.get("median"),
+            "base_iqr": base_stats.get("iqr"),
         }
+    if any("report_sha256" in b for b in base):
+        out["reports_identical"] = sum(
+            "report_sha256" in h and h["report_sha256"] == b.get("report_sha256") for h, b in zip(head, base)
+        )
     return out
 
 
