@@ -259,6 +259,33 @@ def _int64(fields: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
 
 
+class _Column:
+    """A column written chunk by chunk into one buffer.
+
+    The buffer is sized to the expected row count when a chunk first
+    overflows it, and then to a quarter more than it must hold if that is
+    larger, so a column is usually written once and never copied: no list of
+    chunk arrays waits on a concatenating copy, and no bytearray is copied
+    as it grows. The rows past the end are never written.
+    """
+
+    def __init__(self, dtype) -> None:
+        self.buffer = np.empty(0, dtype=dtype)
+        self.rows = 0
+
+    def append(self, chunk: np.ndarray, expected_rows: int) -> None:
+        end = self.rows + len(chunk)
+        if end > len(self.buffer):
+            grown = np.empty(max(expected_rows, end + end // 4), dtype=self.buffer.dtype)
+            grown[: self.rows] = self.buffer[: self.rows]
+            self.buffer = grown
+        self.buffer[self.rows : end] = chunk
+        self.rows = end
+
+    def array(self) -> np.ndarray:
+        return self.buffer[: self.rows]
+
+
 def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     """Load a transaction dataset file as a :class:`TransactionTable`.
 
@@ -278,32 +305,37 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     the same errors.
     """
     path = Path(path)
-    rows_read = 0
+    file_bytes = path.stat().st_size
+    rows_read = kept = 0
     blocks: set[int] = set()
-    # Each column grows chunk by chunk as the raw bytes the table then views,
-    # so no list of chunk arrays waits on a concatenating copy at the end.
-    values, sizes, beta, txids_utf8 = bytearray(), bytearray(), bytearray(), bytearray()
-    offsets = bytearray(np.zeros(1, dtype=np.int64))
+    values, sizes, beta, offsets = (_Column(dtype) for dtype in (np.int64, np.int64, np.float64, np.int64))
+    offsets.append(np.zeros(1, dtype=np.int64), 1)
+    txids_utf8 = bytearray()
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
         for col in MANDATORY_COLUMNS:
             if col not in header:
                 raise ValueError(f"{path}: missing mandatory column {col!r}")
         extra_columns = tuple(c for c in header if c not in MANDATORY_COLUMNS)
+        seekable = fh.seekable()
         for rows, heights, size, value, txids, lengths in _chunks(fh, header, path):
             rows_read += rows
             blocks.update(heights)
-            sizes += size.data
-            values += value.data
-            beta += (value / (8 * size)).data
-            offsets += (len(txids_utf8) + np.cumsum(lengths)).data
+            kept += len(value)
+            # the file's kept rows if the rest is like what was read, and an
+            # eighth more; a pipe tells neither, so its columns grow as they fill
+            expected = kept * file_bytes // fh.buffer.tell() * 9 // 8 if seekable else 0
+            values.append(value, expected)
+            sizes.append(size, expected)
+            beta.append(value / (8 * size), expected)
+            offsets.append(len(txids_utf8) + np.cumsum(lengths), expected + 1)
             txids_utf8 += txids
     table = TransactionTable(
-        np.frombuffer(values, dtype=np.int64),
-        np.frombuffer(sizes, dtype=np.int64),
-        np.frombuffer(beta, dtype=np.float64),
+        values.array(),
+        sizes.array(),
+        beta.array(),
         txids_utf8=txids_utf8,
-        txid_offsets=np.frombuffer(offsets, dtype=np.int64),
+        txid_offsets=offsets.array(),
     )
     summary = LoadSummary(
         path=str(path),

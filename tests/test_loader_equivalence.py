@@ -9,7 +9,9 @@ must name the case's row with the reason pinned here.
 """
 
 import csv
+import os
 import random
+import threading
 
 import pytest
 
@@ -127,3 +129,33 @@ def test_load_matches_oracle(tmp_path, monkeypatch, case, layout, chunk_chars):
     assert {key: getattr(summary, key) for key in expected} == expected
     assert summary.extra_columns == ()
     assert table.values.dtype == table.sizes.dtype == "int64"
+    # beta is written chunk by chunk; each row must still be value / (8 * size)
+    assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
+
+
+@pytest.mark.parametrize("chunk_chars", [64, 1 << 20])
+@pytest.mark.parametrize("case", ["leading_space", "crlf"])
+def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
+    """A pipe has no size or position to size the columns from; they grow as they fill."""
+    text, _ = build(case, "multi")
+    text += "\n".join(plain_rows(random.Random(case), 2000, 5000)) + "\n"
+    path, pipe = tmp_path / "d.csv", tmp_path / "pipe"
+    path.write_bytes(text.encode("utf-8"))
+    os.mkfifo(pipe)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+
+    def write():
+        with open(pipe, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        table, summary = load_dataset(pipe)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    expected = oracle(path)
+    assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
+    assert {key: getattr(summary, key) for key in expected} == expected
+    assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
