@@ -262,11 +262,10 @@ def _int64(fields: Sequence[str]) -> np.ndarray:
 class _Column:
     """A column written chunk by chunk into one buffer.
 
-    The buffer is sized to the expected row count when a chunk first
-    overflows it, and then to a quarter more than it must hold if that is
-    larger, so a column is usually written once and never copied: no list of
-    chunk arrays waits on a concatenating copy, and no bytearray is copied
-    as it grows. The rows past the end are never written.
+    When a chunk overflows the buffer, a new one is sized to the expected
+    row count, or to a quarter more than it must hold if that is larger.
+    With a close estimate a column is written once and never copied, and
+    the spare room at its end, never written, is given back in place.
     """
 
     def __init__(self, dtype) -> None:
@@ -283,7 +282,8 @@ class _Column:
         self.rows = end
 
     def array(self) -> np.ndarray:
-        return self.buffer[: self.rows]
+        self.buffer.resize(self.rows)
+        return self.buffer
 
 
 def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:

@@ -975,11 +975,12 @@ class _ConcurrentRun(_Run):
                     self.t = t_sweep
                     mine((level, shard), t_sweep, sweep=True)
 
-        # Sorted once at the end, the reference log gives the distinct referenced
-        # digests; orphans are the digests left unreferenced that it never holds.
+        # Sorted once, the reference log counts the distinct referenced digests.
+        # Orphans are blocks no parent referenced (they and their subtrees stay
+        # unsettled): the digests left unreferenced that the log does not hold.
         referenced = np.frombuffer(reference_log, dtype="V32")
         referenced.sort()
-        distinct = int(np.count_nonzero(referenced[1:] != referenced[:-1])) + (len(referenced) > 0)
+        distinct = int(np.count_nonzero(referenced[1:] != referenced[:-1])) + 1 if len(referenced) else 0
         left = np.frombuffer(b"".join(set().union(*unreferenced.values())), dtype="V32")
         at = np.searchsorted(referenced, left)
         inside = at < len(referenced)
