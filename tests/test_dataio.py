@@ -186,6 +186,33 @@ class TestLoadDataset:
             (txid_to_bytes(r["txid"]), int(r["output_value"]), int(r["size"])) for r in kept
         ]
 
+    @pytest.mark.parametrize("chunk_chars", [1, 64, 1 << 20])
+    @pytest.mark.parametrize("bad_row", [b"7,a\xffb,5,9,x", b"7,ab,5,9,\xff"], ids=["txid", "extra"])
+    def test_invalid_utf8_raises(self, tmp_path, monkeypatch, bad_row, chunk_chars):
+        """Invalid UTF-8 after plain rows is an error, wherever the chunks end."""
+        rows = [f"{i // 5},{i:032x},{i + 1},{i}".encode() + b",x" for i in range(60)]
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join([b"block_height,txid,size,output_value,note", *rows, bad_row]) + b"\n")
+        monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+        with pytest.raises(UnicodeDecodeError):
+            load_dataset(path)
+
+    def test_byte_order_mark_is_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfblock_height,txid,size,output_value\n1,aa,10,5\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: missing mandatory column 'block_height'"
+
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n"])
+    def test_header_only_file_is_an_empty_table(self, tmp_path, end):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"block_height,txid,size,output_value,note{end}".encode())
+        txs, summary = load_dataset(path)
+        assert len(txs) == 0 and list(txs) == []
+        assert (summary.rows_read, summary.transactions, summary.num_blocks) == (0, 0, 0)
+        assert summary.extra_columns == ("note",)
+
     def test_write_load_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
         rows = [

@@ -133,6 +133,20 @@ def test_load_matches_oracle(tmp_path, monkeypatch, case, layout, chunk_chars):
     assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+def test_multibyte_txid_across_chunk_ends(tmp_path, monkeypatch, chunk_chars):
+    """``héllo€`` at every offset from its line's start, so that chunk ends
+    fall inside its two- and three-byte characters, loads like the oracle."""
+    rows = [f"{'x' * i}héllo€,{i // 4},{i + 1},{i % 3}" for i in range(80)]
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join(["txid,block_height,size,output_value", *rows, ""]).encode("utf-8"))
+    monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+    table, summary = load_dataset(path)
+    expected = oracle(path)
+    assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
+    assert {key: getattr(summary, key) for key in expected} == expected
+
+
 @pytest.mark.parametrize("chunk_chars", [64, 1 << 20])
 @pytest.mark.parametrize("case", ["leading_space", "crlf"])
 def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
