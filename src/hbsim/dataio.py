@@ -55,7 +55,7 @@ class LoadSummary:
 # Values and sizes at or above 2^53 would lose exactness when beta divides
 # them as binary floats; the loader rejects them.
 MAX_EXACT_INT = 2**53
-_CHUNK_CHARS = 1 << 20
+_CHUNK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 14
 _INT64 = range(-(2**63), 2**63)
 # A plain int field has at most 18 ASCII digits, so it always fits in int64.
@@ -63,6 +63,7 @@ _INT64 = range(-(2**63), 2**63)
 # byte; a chunk starts with _PAD filler bytes so that every word lies inside it.
 _DIGITS = 18
 _PAD = 24
+_PADDING = b"0" * _PAD
 _U64 = np.uint64
 _ZEROS = _U64(0x3030303030303030)  # "00000000"
 _HIGH_BITS = _U64(0x8080808080808080)
@@ -99,27 +100,31 @@ def _digit_column(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
     return total.astype(np.int64)
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bytes:
-    """The fields ``buf[starts:ends]`` joined, for ascending, non-overlapping fields."""
+def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> None:
+    """Write the fields ``buf[starts:ends]``, joined, into ``out``, for
+    ascending, non-overlapping fields."""
     lengths = ends - starts
     if len(lengths) and (lengths == lengths[0]).all():
-        return sliding_window_view(buf, int(lengths[0]))[starts].tobytes()
+        width = int(lengths[0])
+        # np.take with out= is far slower than fancy indexing on a sliding-window view
+        out.reshape(len(starts), width)[:] = sliding_window_view(buf, width)[starts]
+        return
     inside = np.zeros(len(buf) + 1, dtype=np.int8)
     inside[starts] = 1
     inside[ends] -= 1
     np.cumsum(inside, out=inside)
-    return buf[inside[:-1].view(bool)].tobytes()
+    out[:] = buf[inside[:-1].view(bool)]
 
 
-def _plain_chunk(text: str, picks: list[int], width: int):
-    """Heights, sizes, values and the txid bytes and lengths of the kept rows
-    of a plain chunk, or None if the chunk is not plain.
+def _plain_chunk(data: bytes, picks: list[int], width: int):
+    """Heights, sizes and values of the rows of a plain chunk, and the chunk
+    as bytes with the starts and ends of its kept rows' txids, or None if
+    the chunk is not plain.
 
     Plain means no quote or NUL, every CR part of a CRLF, ``width`` fields
     on every line, and heights, sizes and values of 1-18 ASCII digits each.
-    ``text`` ends with a line end.
+    ``data`` is _PAD filler bytes, then the chunk, which ends with a line end.
     """
-    data = b"0" * _PAD + text.encode()
     buf = np.frombuffer(data, dtype=np.uint8)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     # one pass finds every byte up to the comma: delimiters, CRs, quotes, NULs, spaces
@@ -152,7 +157,7 @@ def _plain_chunk(text: str, picks: list[int], width: int):
     starts, ends = bounds[1]
     if not keep.all():
         starts, ends = starts[keep], ends[keep]
-    return heights, sizes, values, _gather(buf, starts, ends), ends - starts
+    return heights, sizes, values, buf, starts, ends
 
 
 def _raise_row_error(path: Path, first_row: int, records: Iterable[tuple]) -> None:
@@ -169,38 +174,67 @@ def _out_of_range(sizes: np.ndarray, values: np.ndarray) -> bool:
     return bool((bad & (values != 0)).any())
 
 
-def _chunks(fh, header: list[str], path: Path) -> Iterator[tuple]:
-    """The checked records after the header, in chunks.
+def _text_lines(data: bytes, fh: io.TextIOWrapper) -> Iterator[str]:
+    """The lines of ``data`` and then of the rest of ``fh``, decoded as UTF-8
+    and split where ``csv.reader`` needs them split."""
+    return itertools.chain(io.StringIO(data.decode(), newline=""), fh)
 
-    Each chunk is (rows read, block heights, then the size, value, UTF-8
-    txid bytes and txid byte lengths of its kept rows). Plain chunks (see
-    :func:`_plain_chunk`) are parsed with numpy. From the first other chunk
-    on, ``csv.reader`` parses the rest of the file; it skips blank lines and
-    gives a short record None for its missing fields, as ``csv.DictReader``
-    does. Either way a rejected record raises the error of :func:`_row_error`.
+
+def _read_header(fh: io.TextIOWrapper) -> tuple[list[str], Iterator[str] | None]:
+    """The header's names, and the text lines of the rest of the file if
+    ``csv.reader`` must parse all of it.
+
+    A header line with a quote, or a CR before its line end, may hold a
+    record that does not end where the line does; the whole file is then
+    read as text.
+    """
+    line = fh.buffer.readline()
+    if b'"' not in line and b"\r" not in line.removesuffix(b"\n").removesuffix(b"\r"):
+        return next(csv.reader([line.decode()]), []), None
+    lines = _text_lines(line, fh)
+    return next(csv.reader(lines), []), lines
+
+
+def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str], path: Path) -> Iterator[tuple]:
+    """The checked records after the header, in chunks, read from ``fh.buffer``
+    until ``csv.reader`` takes over.
+
+    Each chunk is (rows read, block heights, then the size and value of its
+    kept rows, and a byte array with the starts and ends of their UTF-8
+    txids). Plain chunks (see :func:`_plain_chunk`) are parsed with numpy.
+    From the first other chunk on, or from the start if ``lines`` holds the
+    file's text lines, ``csv.reader`` parses the rest of the file; it skips
+    blank lines and gives a short record None for its missing fields, as
+    ``csv.DictReader`` does. Either way a rejected record raises the error
+    of :func:`_row_error`, and invalid UTF-8 raises UnicodeDecodeError.
     """
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     picks = [index[c] for c in MANDATORY_COLUMNS]
     width = len(header)
     first_row = 2
-    while text := fh.read(_CHUNK_CHARS):
-        text += fh.readline()
-        if not text.endswith("\n"):
-            text += "\n"
-        plain = _plain_chunk(text, picks, width)
-        if plain is None:
-            break
-        heights, size, value, txids, lengths = plain
-        if _out_of_range(size, value):
-            records = zip(heights.tolist(), itertools.repeat(""), size.tolist(), value.tolist())
-            _raise_row_error(path, first_row, records)
-        keep = value != 0
-        run_starts = np.append(True, heights[1:] != heights[:-1])
-        yield len(value), heights[run_starts].tolist(), size[keep], value[keep], txids, lengths
-        first_row += len(value)
-    else:
-        return
-    reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+    if lines is None:
+        raw = fh.buffer
+        while chunk := raw.read(_CHUNK_BYTES):
+            data = b"".join((_PADDING, chunk, raw.readline()))
+            if not data.endswith(b"\n"):
+                data += b"\n"
+            if not data.isascii():
+                data.decode()  # raises on invalid UTF-8; a line end never splits a character
+            plain = _plain_chunk(data, picks, width)
+            if plain is None:
+                break
+            heights, size, value, buf, starts, ends = plain
+            if _out_of_range(size, value):
+                records = zip(heights.tolist(), itertools.repeat(""), size.tolist(), value.tolist())
+                _raise_row_error(path, first_row, records)
+            keep = value != 0
+            run_starts = np.append(True, heights[1:] != heights[:-1])
+            yield len(value), heights[run_starts].tolist(), size[keep], value[keep], buf, starts, ends
+            first_row += len(value)
+        else:
+            return
+        lines = _text_lines(data[_PAD:], fh)
+    reader = csv.reader(lines)
     short = max(picks) + 1
     while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
         rows = [row for row in raw if row]
@@ -223,8 +257,10 @@ def _chunks(fh, header: list[str], path: Path) -> Iterator[tuple]:
         joined = "".join(kept_txids)
         if not joined.isascii():
             kept_txids = [t.encode() for t in kept_txids]
-        lengths = np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids))
-        yield len(rows), heights, size[keep], value[keep], joined.encode(), lengths
+        ends = np.cumsum(np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids)))
+        starts = np.append(0, ends[:-1])
+        buf = np.frombuffer(joined.encode(), dtype=np.uint8)
+        yield len(rows), heights, size[keep], value[keep], buf, starts, ends
         first_row += len(rows)
 
 
@@ -272,17 +308,26 @@ class _Column:
         self.buffer = np.empty(0, dtype=dtype)
         self.rows = 0
 
-    def append(self, chunk: np.ndarray, expected_rows: int) -> None:
-        end = self.rows + len(chunk)
+    def reserve(self, count: int, expected_rows: int) -> np.ndarray:
+        """The next ``count`` rows of the buffer, for the caller to write
+        before it asks for more."""
+        end = self.rows + count
         if end > len(self.buffer):
             grown = np.empty(max(expected_rows, end + end // 4), dtype=self.buffer.dtype)
             grown[: self.rows] = self.buffer[: self.rows]
             self.buffer = grown
-        self.buffer[self.rows : end] = chunk
+        rows = self.buffer[self.rows : end]
         self.rows = end
+        return rows
+
+    def append(self, chunk: np.ndarray, expected_rows: int) -> None:
+        self.reserve(len(chunk), expected_rows)[:] = chunk
 
     def array(self) -> np.ndarray:
-        self.buffer.resize(self.rows)
+        # refcheck=False: the views reserve() hands out are gone by now, but a
+        # profiling or tracing hook holds one more reference to the buffer,
+        # and the default check would refuse the resize for it
+        self.buffer.resize(self.rows, refcheck=False)
         return self.buffer
 
 
@@ -297,12 +342,13 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     the value is zero, a size below 1, a negative value, or a value or size
     at or above 2^53.
 
-    The file is read in chunks of about a megabyte of whole lines. A chunk
-    with no quote, NUL or lone CR, the header's field count on every line,
-    and heights, sizes and values of 1-18 ASCII digits is parsed with numpy.
-    The first chunk that is not plain, and the rest of the file after it, go
-    through ``csv.reader`` and ``int()``; both give the same results and
-    the same errors.
+    The file is read as bytes in chunks of about a megabyte of whole lines.
+    A chunk with no quote, NUL or lone CR, the header's field count on every
+    line, and heights, sizes and values of 1-18 ASCII digits is parsed with
+    numpy; a chunk with a byte outside ASCII is decoded once, only to check
+    that it is UTF-8. The first chunk that is not plain, and the rest of the
+    file after it, go through ``csv.reader`` and ``int()``; both give the
+    same results and the same errors.
     """
     path = Path(path)
     file_bytes = path.stat().st_size
@@ -310,31 +356,40 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     blocks: set[int] = set()
     values, sizes, beta, offsets = (_Column(dtype) for dtype in (np.int64, np.int64, np.float64, np.int64))
     offsets.append(np.zeros(1, dtype=np.int64), 1)
-    txids_utf8 = bytearray()
+    txids = _Column(np.uint8)
+    # the text reader reads nothing until csv.reader needs it; until then
+    # the loader reads its byte buffer
     with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
+        header, lines = _read_header(fh)
         for col in MANDATORY_COLUMNS:
             if col not in header:
                 raise ValueError(f"{path}: missing mandatory column {col!r}")
         extra_columns = tuple(c for c in header if c not in MANDATORY_COLUMNS)
         seekable = fh.seekable()
-        for rows, heights, size, value, txids, lengths in _chunks(fh, header, path):
+        for rows, heights, size, value, buf, starts, ends in _chunks(fh, lines, header, path):
             rows_read += rows
             blocks.update(heights)
             kept += len(value)
-            # the file's kept rows if the rest is like what was read, and an
-            # eighth more; a pipe tells neither, so its columns grow as they fill
-            expected = kept * file_bytes // fh.buffer.tell() * 9 // 8 if seekable else 0
+            lengths = ends - starts
+            txid_bytes = int(lengths.sum())
+            # the file's kept rows and txid bytes if the rest is like what was
+            # read, and an eighth more; a pipe tells neither, so its columns
+            # grow as they fill
+            expected = expected_bytes = 0
+            if seekable:
+                read = fh.buffer.tell()
+                expected = kept * file_bytes // read * 9 // 8
+                expected_bytes = (txids.rows + txid_bytes) * file_bytes // read * 9 // 8
             values.append(value, expected)
             sizes.append(size, expected)
-            beta.append(value / (8 * size), expected)
-            offsets.append(len(txids_utf8) + np.cumsum(lengths), expected + 1)
-            txids_utf8 += txids
+            np.divide(value, 8 * size, out=beta.reserve(len(value), expected))
+            offsets.append(txids.rows + np.cumsum(lengths), expected + 1)
+            _gather(buf, starts, ends, txids.reserve(txid_bytes, expected_bytes))
     table = TransactionTable(
         values.array(),
         sizes.array(),
         beta.array(),
-        txids_utf8=txids_utf8,
+        txids_utf8=txids.array(),
         txid_offsets=offsets.array(),
     )
     summary = LoadSummary(

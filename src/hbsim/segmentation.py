@@ -77,7 +77,7 @@ class TransactionTable(Sequence[ExtendedTransaction]):
         beta: np.ndarray | None = None,
         *,
         objects: Sequence[ExtendedTransaction] | None = None,
-        txids_utf8: bytes | bytearray = b"",
+        txids_utf8: bytes | bytearray | np.ndarray = b"",
         txid_offsets: np.ndarray | None = None,
     ):
         if beta is None:
@@ -98,10 +98,10 @@ class TransactionTable(Sequence[ExtendedTransaction]):
         """The transaction ids at ``rows``, in that order."""
         if self._objects is not None:
             return [self._objects[row].id for row in rows.tolist()]
-        txids = self._txids
+        txids = memoryview(self._txids)
         starts = self._offsets[rows].tolist()
         ends = self._offsets[rows + 1].tolist()
-        return [txid_to_bytes(txids[a:b].decode()) for a, b in zip(starts, ends)]
+        return [txid_to_bytes(txids[a:b].tobytes().decode()) for a, b in zip(starts, ends)]
 
     def hex_ids(self, rows: np.ndarray) -> np.ndarray | None:
         """The txid texts at ``rows`` as one row of bytes each, if they sort like the ids.

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from scipy import stats as scipy_stats
@@ -177,7 +178,7 @@ class TestLoadDataset:
         path.write_bytes(("\r\n".join(lines[:150]) + "\n" + "\r\n".join(lines[150:])).encode())
         with open(path, newline="", encoding="utf-8") as fh:
             expected = [r for r in csv.DictReader(fh)]
-        monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+        monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
         txs, summary = load_dataset(path)
         kept = [r for r in expected if int(r["output_value"])]
         assert summary.rows_read == len(expected)
@@ -193,7 +194,7 @@ class TestLoadDataset:
         rows = [f"{i // 5},{i:032x},{i + 1},{i}".encode() + b",x" for i in range(60)]
         path = tmp_path / "d.csv"
         path.write_bytes(b"\n".join([b"block_height,txid,size,output_value,note", *rows, bad_row]) + b"\n")
-        monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+        monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
         with pytest.raises(UnicodeDecodeError):
             load_dataset(path)
 
@@ -212,6 +213,51 @@ class TestLoadDataset:
         assert len(txs) == 0 and list(txs) == []
         assert (summary.rows_read, summary.transactions, summary.num_blocks) == (0, 0, 0)
         assert summary.extra_columns == ("note",)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'block_height,txid,size,output_value,"two\nlines"\n1,aa,10,5,x\n2,bb,0,0,y\n',
+            "block_height,txid,size,output_value\r1,aa,10,5\r2,bb,0,0\r",
+            "block_height,txid,size,output_value\r\r\n1,aa,10,5\n2,bb,0,0\n",
+        ],
+        ids=["quoted_newline", "lone_crs", "cr_before_crlf"],
+    )
+    def test_header_that_is_not_one_line(self, tmp_path, text):
+        """A header record that ends before or after its first line feed
+        loads as csv.DictReader reads it."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            expected = list(reader)
+            names = reader.fieldnames
+        txs, summary = load_dataset(path)
+        assert summary.extra_columns == tuple(names[4:])
+        assert summary.rows_read == len(expected) == 2
+        assert [(t.id, t.value, t.size_bytes) for t in txs] == [(b"\xaa", 5, 10)]
+
+    def test_load_under_profile_and_trace_hooks(self, tmp_path, monkeypatch):
+        """A hook adds a reference to the column buffers while the loader
+        gives their spare room back; the load must not notice."""
+        path = tmp_path / "d.csv"
+        write_csv(path, HEADER, [[i // 3, f"{i:064x}", 100 + i, i % 7] for i in range(300)])
+        monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", 1 << 10)
+        plain, plain_summary = load_dataset(path)
+
+        def hook(*args):
+            return None
+
+        for install, current in ((sys.setprofile, sys.getprofile), (sys.settrace, sys.gettrace)):
+            before = current()
+            install(hook)
+            try:
+                txs, summary = load_dataset(path)
+            finally:
+                install(before)
+            assert summary == plain_summary
+            assert list(txs) == list(plain)
+            assert txs.beta.tolist() == plain.beta.tolist()
 
     def test_write_load_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -116,7 +116,7 @@ def test_load_matches_oracle(tmp_path, monkeypatch, case, layout, chunk_chars):
     text, case_row = build(case, layout)
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
-    monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
     reason = CASES.get(case, (None, None))[1]
     if reason is not None:
         with pytest.raises(ValueError) as info:
@@ -140,14 +140,14 @@ def test_multibyte_txid_across_chunk_ends(tmp_path, monkeypatch, chunk_chars):
     rows = [f"{'x' * i}héllo€,{i // 4},{i + 1},{i % 3}" for i in range(80)]
     path = tmp_path / "d.csv"
     path.write_bytes("\n".join(["txid,block_height,size,output_value", *rows, ""]).encode("utf-8"))
-    monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
     table, summary = load_dataset(path)
     expected = oracle(path)
     assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
     assert {key: getattr(summary, key) for key in expected} == expected
 
 
-@pytest.mark.parametrize("chunk_chars", [64, 1 << 20])
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64, 1 << 20])
 @pytest.mark.parametrize("case", ["leading_space", "crlf"])
 def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
     """A pipe has no size or position to size the columns from; they grow as they fill."""
@@ -156,7 +156,7 @@ def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
     path, pipe = tmp_path / "d.csv", tmp_path / "pipe"
     path.write_bytes(text.encode("utf-8"))
     os.mkfifo(pipe)
-    monkeypatch.setattr("hbsim.dataio._CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
 
     def write():
         with open(pipe, "wb") as fh:
