@@ -109,9 +109,10 @@ def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarr
         # np.take with out= is far slower than fancy indexing on a sliding-window view
         out.reshape(len(starts), width)[:] = sliding_window_view(buf, width)[starts]
         return
+    filled = lengths > 0  # an empty field would cancel a field that starts where it is
     inside = np.zeros(len(buf) + 1, dtype=np.int8)
-    inside[starts] = 1
-    inside[ends] -= 1
+    inside[starts[filled]] = 1
+    inside[ends[filled]] -= 1
     np.cumsum(inside, out=inside)
     out[:] = buf[inside[:-1].view(bool)]
 
@@ -257,10 +258,10 @@ def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str]
         joined = "".join(kept_txids)
         if not joined.isascii():
             kept_txids = [t.encode() for t in kept_txids]
-        ends = np.cumsum(np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids)))
-        starts = np.append(0, ends[:-1])
+        lengths = np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids))
+        ends = np.cumsum(lengths)
         buf = np.frombuffer(joined.encode(), dtype=np.uint8)
-        yield len(rows), heights, size[keep], value[keep], buf, starts, ends
+        yield len(rows), heights, size[keep], value[keep], buf, ends - lengths, ends
         first_row += len(rows)
 
 
@@ -366,25 +367,24 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
                 raise ValueError(f"{path}: missing mandatory column {col!r}")
         extra_columns = tuple(c for c in header if c not in MANDATORY_COLUMNS)
         seekable = fh.seekable()
+
+        def expect(count: int) -> int:
+            # the file's count if the rest is like what was read, and an eighth
+            # more; a pipe tells neither, so its columns grow as they fill
+            return count * file_bytes // fh.buffer.tell() * 9 // 8 if seekable else 0
+
         for rows, heights, size, value, buf, starts, ends in _chunks(fh, lines, header, path):
             rows_read += rows
             blocks.update(heights)
             kept += len(value)
-            lengths = ends - starts
-            txid_bytes = int(lengths.sum())
-            # the file's kept rows and txid bytes if the rest is like what was
-            # read, and an eighth more; a pipe tells neither, so its columns
-            # grow as they fill
-            expected = expected_bytes = 0
-            if seekable:
-                read = fh.buffer.tell()
-                expected = kept * file_bytes // read * 9 // 8
-                expected_bytes = (txids.rows + txid_bytes) * file_bytes // read * 9 // 8
+            expected = expect(kept)
             values.append(value, expected)
             sizes.append(size, expected)
             np.divide(value, 8 * size, out=beta.reserve(len(value), expected))
+            lengths = ends - starts
             offsets.append(txids.rows + np.cumsum(lengths), expected + 1)
-            _gather(buf, starts, ends, txids.reserve(txid_bytes, expected_bytes))
+            txid_bytes = int(lengths.sum())
+            _gather(buf, starts, ends, txids.reserve(txid_bytes, expect(txids.rows + txid_bytes)))
     table = TransactionTable(
         values.array(),
         sizes.array(),

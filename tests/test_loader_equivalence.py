@@ -51,6 +51,8 @@ CASES = {
     "size_0_value_0": ("7,aa,0,0", None),
     "size_0_value_10": ("7,aa,0,10", "size must be >= 1"),
     "non_ascii_txid": ("7,héllo€,5,9", None),
+    "empty_txid": ("7,,5,9", None),
+    "empty_txid_then_quoted": ('7,,5,9\n7,"a,b",5,9', None),
     "non_integer": ("7,aa,x,9", "invalid literal for int() with base 10: 'x'"),
     "lone_cr": ("7,a\rb,5,9", NONE_ARG),
     "nul": ("7,a\0b,5,9", None),
