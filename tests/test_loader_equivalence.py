@@ -137,8 +137,9 @@ def test_load_matches_oracle(tmp_path, monkeypatch, case, layout, chunk_chars):
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
 def test_multibyte_txid_across_chunk_ends(tmp_path, monkeypatch, chunk_chars):
-    """``héllo€`` at every offset from its line's start, so that chunk ends
-    fall inside its two- and three-byte characters, loads like the oracle."""
+    """``héllo€`` at every offset from its line's start loads like the
+    oracle; at chunk sizes 7 and 64 some reads end inside its two- and
+    three-byte characters."""
     rows = [f"{'x' * i}héllo€,{i // 4},{i + 1},{i % 3}" for i in range(80)]
     path = tmp_path / "d.csv"
     path.write_bytes("\n".join(["txid,block_height,size,output_value", *rows, ""]).encode("utf-8"))
