@@ -6,6 +6,16 @@ uniqueness of the owning shard. Conservation is tracked with running integer
 totals and re-checked after every state change:
 
     unspent + fees collected == minted rewards + injected genesis value
+
+Layout: outputs are grouped in buckets by ``value.bit_length()`` for the input
+sampler, and one dict maps each output id to ``value << 32 | pos``, ``pos``
+being the output's index in its bucket. So a removal can swap the bucket's
+last output into the freed slot, and a sample compares packed entries against
+``needed << 32`` without unpacking them. ``ChainState.unspent`` is a read-only
+``id -> value`` view of that dict. Per output this costs one dict slot, one
+int and one bucket slot: 97 bytes at 100,000 outputs and 85 at 2**18
+(tracemalloc, the ids themselves not counted), where a second dict of
+positions beside the value map took 141 and 116.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import bisect
 import hashlib
 import itertools
 import struct
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..core import ExtendedTransaction
@@ -22,6 +33,13 @@ from ..sharding import E_MULTI_INPUT_SHARDED, tx_shard_index
 E_DOUBLE_SPEND = "E_DOUBLE_SPEND"
 E_SHARD_MISMATCH = "E_SHARD_MISMATCH"
 E_BAD_CARRIED_AVERAGE = "E_BAD_CARRIED_AVERAGE"
+E_MALFORMED_BLOCK = "E_MALFORMED_BLOCK"
+
+# A registry entry is ``value << _POS_BITS | pos``: the output's value above
+# its index in its bucket. Values stay unbounded ints; only pos has a width.
+_POS_BITS = 32
+_POS_MASK = (1 << _POS_BITS) - 1
+_VALUE_MASK = ~_POS_MASK
 
 
 class ConservationError(AssertionError):
@@ -89,17 +107,38 @@ def reward_output_id(tag: str) -> bytes:
     return hashlib.sha256(b"reward/" + tag.encode()).digest()
 
 
+class _UnspentView(Mapping):
+    """Read-only ``output id -> value`` view of ``ChainState``'s packed entries."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: dict[bytes, int]) -> None:
+        self._entries = entries
+
+    def __getitem__(self, output_id: bytes) -> int:
+        return self._entries[output_id] >> _POS_BITS
+
+    def __contains__(self, output_id: object) -> bool:
+        return output_id in self._entries
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class ChainState:
     """Unspent-output registry, chain tips, and the conservation ledger."""
 
     def __init__(self) -> None:
-        self.unspent: dict[bytes, int] = {}
+        # output id -> value << _POS_BITS | index in _buckets[value.bit_length()]
+        self._entries: dict[bytes, int] = {}
+        self.unspent: Mapping[bytes, int] = _UnspentView(self._entries)
         # outputs grouped by value.bit_length() so a sufficiently large input
         # can be sampled in O(#buckets) regardless of registry size
         self._buckets: dict[int, list[bytes]] = {}
         self._bucket_keys: list[int] = []
-        # each output's index in its bucket, which is _buckets[value.bit_length()]
-        self._pos: dict[bytes, int] = {}
         # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
         # grand total appended; None once _add or _remove has moved a count
         self._starts: list[int] | None = None
@@ -114,30 +153,35 @@ class ChainState:
     # -- registry ---------------------------------------------------------
 
     def _add(self, output_id: bytes, value: int) -> None:
-        if output_id in self.unspent:
+        entries = self._entries
+        if output_id in entries:
             raise ValueError(f"output id {output_id.hex()} already exists")
         if value < 1:
             raise ValueError("outputs must carry at least one satoshi")
-        self.unspent[output_id] = value
         key = value.bit_length()
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = []
             bisect.insort(self._bucket_keys, key)
-        self._pos[output_id] = len(bucket)
+        pos = len(bucket)
+        if pos > _POS_MASK:
+            raise OverflowError(f"bucket {key} already holds 2**{_POS_BITS} outputs")
+        entries[output_id] = value << _POS_BITS | pos
         bucket.append(output_id)
         self._starts = None
         self.total_unspent += value
 
     def _remove(self, output_id: bytes) -> int:
-        value = self.unspent.pop(output_id)
-        pos = self._pos.pop(output_id)
+        entries = self._entries
+        entry = entries.pop(output_id)
+        value = entry >> _POS_BITS
+        pos = entry & _POS_MASK
         key = value.bit_length()
         bucket = self._buckets[key]
         last = bucket.pop()
         if last != output_id:
             bucket[pos] = last
-            self._pos[last] = pos
+            entries[last] = entries[last] & _VALUE_MASK | pos
         if not bucket:
             del self._buckets[key]
             self._bucket_keys.remove(key)
@@ -170,8 +214,14 @@ class ChainState:
         found by bisecting the cached bucket starts. The starts are rebuilt
         only after the registry changed, so a run of picks between two
         blocks shares one rebuild.
+
+        A candidate's packed entry is compared with ``needed << _POS_BITS``,
+        which is ``value >= needed`` because its position is below
+        ``2**_POS_BITS``.
         """
         floor_key = needed.bit_length()
+        least = needed << _POS_BITS
+        entries = self._entries
         keys = self._bucket_keys
         buckets = self._buckets
         starts = self._starts
@@ -194,7 +244,7 @@ class ChainState:
             output_id = sample(start)
             if output_id is None:
                 return None
-            if output_id not in excluded and self.unspent[output_id] >= needed:
+            if output_id not in excluded and entries[output_id] >= least:
                 return output_id
         above = bisect.bisect_left(keys, floor_key + 1)
         for _ in range(tries):
@@ -204,7 +254,7 @@ class ChainState:
             if output_id not in excluded:
                 return output_id
         for output_id in buckets.get(floor_key, ()):
-            if output_id not in excluded and self.unspent[output_id] >= needed:
+            if output_id not in excluded and entries[output_id] >= least:
                 return output_id
         return None
 
@@ -249,7 +299,8 @@ def validate_block(
     recomputed the carried header values itself, they must match exactly.
     """
     if len(block.txs) != len(block.fees_sat):
-        return _reject(E_BAD_CARRIED_AVERAGE, "fee list does not match transaction list")
+        return _reject(E_MALFORMED_BLOCK, "fee list does not match transaction list")
+    entries = state._entries
     seen_inputs: set[bytes] = set()
     for tx, fee in zip(block.txs, block.fees_sat):
         refs = (tx.input_ref, *tx.extra_input_refs)
@@ -260,7 +311,8 @@ def validate_block(
             )
         total_in = 0
         for ref in refs:
-            if ref is None or ref not in state.unspent:
+            entry = entries.get(ref)
+            if entry is None:
                 return _reject(
                     E_DOUBLE_SPEND,
                     f"transaction {tx.id.hex()} spends a missing or already spent output",
@@ -270,7 +322,7 @@ def validate_block(
                     E_DOUBLE_SPEND, f"transaction {tx.id.hex()} re-spends an input inside the block"
                 )
             seen_inputs.add(ref)
-            total_in += state.unspent[ref]
+            total_in += entry >> _POS_BITS
         if fee < 0 or total_in < tx.value + fee:
             return _reject(
                 E_DOUBLE_SPEND, f"transaction {tx.id.hex()} spends more than its inputs hold"

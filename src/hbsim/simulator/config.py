@@ -135,6 +135,8 @@ class SimConfig:
             raise ValueError(f"unknown broadcast policy {self.broadcast!r}")
         if self.genesis_outputs < 1:
             raise ValueError("need at least one genesis output")
+        if self.genesis_value_sat < 1:
+            raise ValueError("genesis_value_sat must be >= 1: outputs carry at least one satoshi")
         if self.fee_overpay_max < 1.0:
             raise ValueError("fee_overpay_max must be >= 1")
         if self.bootstrap_txs < 2:

@@ -20,12 +20,22 @@ from hbsim.simulator import (
     ChainState,
     SubBlock,
     apply_block,
+    change_output_id,
     validate_block,
 )
 from hbsim.simulator.engine import ArrivalTx
 from reference_sampler import two_walk_pick_at_least
 
-VALUES = st.integers(1, 2**20)
+# Small values share a few buckets. The others sit about 2**32, the width of
+# a registry entry's position field, at the engine's default genesis value,
+# and past 2**64, so that a value spilling into the position field shows.
+VALUES = st.one_of(
+    st.integers(1, 2**20),
+    st.integers(2**32 - 2, 2**32 + 2),
+    st.just(10**13),
+    st.integers(2**64, 2**66),
+)
+POS_BITS = 32  # a registry entry is value << POS_BITS | index in its bucket
 RECORDS = st.sampled_from([ExtendedTransaction, ArrivalTx])
 INVALID_KINDS = ("missing", "spent", "respend", "overdraft", "negative_fee", "multi_input_sharded")
 
@@ -49,7 +59,7 @@ def snapshot(state):
         dict(state.unspent),
         {key: list(bucket) for key, bucket in state._buckets.items()},
         list(state._bucket_keys),
-        dict(state._pos),
+        dict(state._entries),
         None if state._starts is None else list(state._starts),
         dict(state.tips),
         state.total_unspent,
@@ -65,6 +75,8 @@ class ChainStateMachine(RuleBasedStateMachine):
         self.state = ChainState()
         self._ids = (hashlib.sha256(b"id/%d" % i).digest() for i in itertools.count())
         self.spent: list[bytes] = []
+        # the unspent outputs the operations so far should leave: id -> value
+        self.model: dict[bytes, int] = {}
 
     def fresh_id(self) -> bytes:
         return next(self._ids)
@@ -82,22 +94,30 @@ class ChainStateMachine(RuleBasedStateMachine):
             fees.append(fee)
         return txs, fees
 
+    def inject_one(self, value):
+        output_id = self.fresh_id()
+        self.state.inject_genesis(output_id, value)
+        self.model[output_id] = value
+
     @rule(value=VALUES)
     def inject(self, value):
-        self.state.inject_genesis(self.fresh_id(), value)
+        self.inject_one(value)
 
     @rule(values=st.lists(st.integers(1, 2**8), min_size=2, max_size=20))
     def inject_crowd(self, values):
         """Many small outputs share a few buckets, so a pick often misses in
         the boundary bucket and falls back to scanning it."""
         for value in values:
-            self.state.inject_genesis(self.fresh_id(), value)
+            self.inject_one(value)
 
     @rule(value=st.integers(0, 2**20))
     def mint(self, value):
         before = self.state.minted
-        self.state.mint(self.fresh_id(), value)
+        output_id = self.fresh_id()
+        self.state.mint(output_id, value)
         assert self.state.minted == before + value
+        if value:
+            self.model[output_id] = value
 
     @precondition(lambda self: self.state.unspent)
     @rule(data=st.data())
@@ -130,6 +150,11 @@ class ChainStateMachine(RuleBasedStateMachine):
         for tx in txs:
             assert self.state.unspent[tx.id] == tx.value
         self.spent.extend(spent)
+        for tx, fee in zip(txs, fees):
+            change = sum(self.model.pop(ref) for ref in (tx.input_ref, *tx.extra_input_refs)) - tx.value - fee
+            self.model[tx.id] = tx.value
+            if change:
+                self.model[change_output_id(tx.id)] = change
 
     @rule(data=st.data(), kind=st.sampled_from(INVALID_KINDS))
     def attempt_invalid_block(self, data, kind):
@@ -208,14 +233,20 @@ class ChainStateMachine(RuleBasedStateMachine):
         assert s.conservation_violations == 0
 
     @invariant()
+    def unspent_matches_model(self):
+        assert dict(self.state.unspent) == self.model
+
+    @invariant()
     def index_matches_unspent(self):
         s = self.state
         assert s._bucket_keys == sorted(s._buckets)
         assert all(s._buckets.values())
-        assert s._pos.keys() == s.unspent.keys()
+        assert s._entries.keys() == s.unspent.keys()
         assert sum(map(len, s._buckets.values())) == len(s.unspent)
-        for output_id, value in s.unspent.items():
-            assert s._buckets[value.bit_length()][s._pos[output_id]] == output_id
+        for output_id, entry in s._entries.items():
+            value, pos = entry >> POS_BITS, entry & ((1 << POS_BITS) - 1)
+            assert value == s.unspent[output_id]
+            assert s._buckets[value.bit_length()][pos] == output_id
         if s._starts is not None:
             counts = (len(s._buckets[key]) for key in s._bucket_keys)
             assert s._starts == list(itertools.accumulate(counts, initial=0))

@@ -18,6 +18,7 @@ from hbsim.simulator import (
     ConservationError,
     E_BAD_CARRIED_AVERAGE,
     E_DOUBLE_SPEND,
+    E_MALFORMED_BLOCK,
     E_SHARD_MISMATCH,
     MempoolEntry,
     SimConfig,
@@ -332,6 +333,56 @@ class TestChainState:
         with pytest.raises(ValueError, match="already exists"):
             state.inject_genesis(b"\x01" * 32, 100)
 
+    def test_unspent_is_a_live_read_only_view(self):
+        state = ChainState()
+        state.inject_genesis(b"\x01" * 32, 2**70)
+        state.inject_genesis(b"\x02" * 32, 5)
+        view = state.unspent
+        assert dict(view) == {b"\x01" * 32: 2**70, b"\x02" * 32: 5}
+        assert len(view) == 2 and b"\x02" * 32 in view and b"\x03" * 32 not in view
+        assert sorted(view.values()) == [5, 2**70]
+        with pytest.raises(KeyError):
+            view[b"\x03" * 32]
+        with pytest.raises(TypeError):
+            view[b"\x03" * 32] = 1
+        state._remove(b"\x01" * 32)
+        assert dict(view) == {b"\x02" * 32: 5}
+
+    def test_bucket_past_16_bit_positions(self, rng):
+        """One bucket of 2**16 + 4 outputs: removals from its front swap
+        outputs from positions past 2**16 into the freed slots, and every
+        value, position and pick stays exact."""
+        state = ChainState()
+        n = 2**16 + 4
+        ids = [i.to_bytes(32, "big") for i in range(n)]
+        for i, output_id in enumerate(ids):
+            state.inject_genesis(output_id, 2**20 + i)
+        for output_id in ids[:3]:
+            assert state._remove(output_id) == 2**20 + ids.index(output_id)
+        bucket = state._buckets[21]
+        assert len(bucket) == n - 3 and bucket[:3] == ids[-1:-4:-1]
+        for i, output_id in enumerate(ids[3:], start=3):
+            entry = state._entries[output_id]
+            assert entry >> 32 == state.unspent[output_id] == 2**20 + i
+            assert bucket[entry & (2**32 - 1)] == output_id
+        assert state.pick_at_least(2**20 + n - 1, rng, set()) == ids[-1]
+        assert state.pick_at_least(2**20 + n - 1, rng, {ids[-1]}) is None
+
+    def test_a_full_bucket_refuses_another_output(self):
+        """An output's position in its bucket has 32 bits, so a bucket holding
+        2**32 outputs takes no more; a stand-in list reports that length."""
+
+        class FullBucket(list):
+            def __len__(self):
+                return 2**32
+
+        state = ChainState()
+        state.inject_genesis(b"\x01" * 32, 100)
+        state._buckets[7] = FullBucket(state._buckets[7])
+        with pytest.raises(OverflowError, match="2\\*\\*32 outputs"):
+            state.inject_genesis(b"\x02" * 32, 101)
+        assert b"\x02" * 32 not in state.unspent and state.total_unspent == 100
+
 
 def block_at(level, shard, txs, fees, carried=None, seq=0):
     return SubBlock(
@@ -397,6 +448,16 @@ class TestValidateBlock:
             block_at(0, 0, [tx1, tx2], [1, 1]), state, check_shard=False
         )
         assert result.code == E_DOUBLE_SPEND
+
+    def test_fee_list_of_another_length_is_malformed(self):
+        state = ChainState()
+        state.inject_genesis(b"\xaa" * 32, 10**9)
+        tx = make_tx(100, 100, input_ref=b"\xaa" * 32)
+        for fees in ([], [1, 1]):
+            result = validate_block(block_at(0, 0, [tx], fees), state, check_shard=False)
+            assert not result
+            assert result.code == E_MALFORMED_BLOCK
+            assert "fee list" in result.detail
 
     def test_overdraft_rejected(self):
         state = ChainState()
@@ -527,6 +588,10 @@ class TestCoords:
             small_config(mode="hybrid", num_levels=1)
         with pytest.raises(ValueError, match="concurrent"):
             small_config(chain_target_times=(1.0, 2.0, 3.0))
+        for value in (0, -1):
+            with pytest.raises(ValueError, match="genesis_value_sat must be >= 1"):
+                small_config(genesis_value_sat=value)
+        small_config(genesis_value_sat=1)
 
     def test_sharded_level_cap(self):
         """Tree and concurrent configs past the shard-map cap are refused at
