@@ -357,8 +357,8 @@ class TestChainState:
         ids = [i.to_bytes(32, "big") for i in range(n)]
         for i, output_id in enumerate(ids):
             state.inject_genesis(output_id, 2**20 + i)
-        for output_id in ids[:3]:
-            assert state._remove(output_id) == 2**20 + ids.index(output_id)
+        for i in range(3):
+            assert state._remove(ids[i]) == 2**20 + i
         bucket = state._buckets[21]
         assert len(bucket) == n - 3 and bucket[:3] == ids[-1:-4:-1]
         for i, output_id in enumerate(ids[3:], start=3):
