@@ -21,8 +21,7 @@ Each mutant is reported as one of:
 
 Hypothesis runs derandomized, with no example database and no shrinking, so
 a mutant's result repeats from run to run and a kill does not wait for a
-minimal example. A stateful test that catches a mutant still takes seconds to
-a few minutes. Exits 0 when every mutant run is killed, 1 otherwise.
+minimal example. Exits 0 when every mutant run is killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -87,6 +86,13 @@ MUTANTS = (
         'return _reject(E_MALFORMED_BLOCK, "fee list',
         'return _reject(E_BAD_CARRIED_AVERAGE, "fee list',
         (f"{UNITS}::TestValidateBlock::test_fee_list_of_another_length_is_malformed",),
+    ),
+    Mutant(
+        "fee-past-int64-accepted",
+        CHAINSTATE,
+        "        if fee > _MAX_FEE:\n",
+        "        if fee > 2 * _MAX_FEE:\n",
+        (f"{UNITS}::TestValidateBlock::test_fee_past_int64_is_malformed",),
     ),
     Mutant(
         "zero-genesis-value-accepted",

@@ -41,6 +41,9 @@ _POS_BITS = 32
 _POS_MASK = (1 << _POS_BITS) - 1
 _VALUE_MASK = ~_POS_MASK
 
+# SubBlock.digest packs each fee as a little-endian int64.
+_MAX_FEE = 2**63 - 1
+
 
 class ConservationError(AssertionError):
     """The value-conservation identity failed; this is always a simulator bug."""
@@ -326,6 +329,10 @@ def validate_block(
         if fee < 0 or total_in < tx.value + fee:
             return _reject(
                 E_DOUBLE_SPEND, f"transaction {tx.id.hex()} spends more than its inputs hold"
+            )
+        if fee > _MAX_FEE:
+            return _reject(
+                E_MALFORMED_BLOCK, f"transaction {tx.id.hex()} pays a fee past the int64 a block digest holds"
             )
         if check_shard:
             index = tx_shard_index(block.level, tx, nonce)

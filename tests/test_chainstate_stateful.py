@@ -17,6 +17,7 @@ from hbsim.core import ExtendedTransaction
 from hbsim.sharding import E_MULTI_INPUT_SHARDED
 from hbsim.simulator import (
     E_DOUBLE_SPEND,
+    E_MALFORMED_BLOCK,
     ChainState,
     SubBlock,
     apply_block,
@@ -36,8 +37,11 @@ VALUES = st.one_of(
     st.integers(2**64, 2**66),
 )
 POS_BITS = 32  # a registry entry is value << POS_BITS | index in its bucket
+MAX_FEE = 2**63 - 1  # a block digest packs each fee as an int64
 RECORDS = st.sampled_from([ExtendedTransaction, ArrivalTx])
-INVALID_KINDS = ("missing", "spent", "respend", "overdraft", "negative_fee", "multi_input_sharded")
+INVALID_KINDS = (
+    "missing", "spent", "respend", "overdraft", "negative_fee", "multi_input_sharded", "fee_past_int64",
+)
 
 
 def block(txs, fees, level=0):
@@ -86,7 +90,7 @@ class ChainStateMachine(RuleBasedStateMachine):
         txs, fees = [], []
         for ref in refs:
             held = self.state.unspent[ref]
-            fee = data.draw(st.integers(0, held - 1))
+            fee = data.draw(st.integers(0, min(held - 1, MAX_FEE)))
             value = data.draw(st.integers(1, held - fee))
             record = data.draw(RECORDS)
             size = data.draw(st.integers(1, 900))
@@ -128,7 +132,7 @@ class ChainStateMachine(RuleBasedStateMachine):
             # a two-input spend, allowed at level 0 only
             first, second, refs = refs[0], refs[1], refs[2:]
             held = self.state.unspent[first] + self.state.unspent[second]
-            fee = data.draw(st.integers(0, held - 1))
+            fee = data.draw(st.integers(0, min(held - 1, MAX_FEE)))
             multi = ExtendedTransaction(
                 id=self.fresh_id(), value=data.draw(st.integers(1, held - fee)), size_bytes=300,
                 input_ref=first, extra_input_refs=(second,),
@@ -163,7 +167,12 @@ class ChainStateMachine(RuleBasedStateMachine):
             kind = "missing"
         if kind not in ("missing", "spent") and len(unspent) < (2 if kind == "multi_input_sharded" else 1):
             kind = "missing"
-        expected = E_MULTI_INPUT_SHARDED if kind == "multi_input_sharded" else E_DOUBLE_SPEND
+        rich = [r for r in unspent if self.state.unspent[r] > MAX_FEE + 1]
+        if kind == "fee_past_int64" and not rich:
+            kind = "missing"
+        expected = {"multi_input_sharded": E_MULTI_INPUT_SHARDED, "fee_past_int64": E_MALFORMED_BLOCK}.get(
+            kind, E_DOUBLE_SPEND
+        )
         level = 1 if kind == "multi_input_sharded" else 0
         if kind in ("missing", "spent"):
             ref = self.fresh_id() if kind == "missing" else data.draw(st.sampled_from(self.spent))
@@ -179,6 +188,13 @@ class ChainStateMachine(RuleBasedStateMachine):
                                            input_ref=first, extra_input_refs=(second,))]
             bad_fees = [0]
             others = [r for r in unspent if r not in (first, second)]
+        elif kind == "fee_past_int64":
+            # covered by its input, but no block digest can hold the fee
+            ref = data.draw(st.sampled_from(rich))
+            held = self.state.unspent[ref]
+            fee = data.draw(st.integers(MAX_FEE + 1, held - 1))
+            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), held - fee, 250, ref)], [fee]
+            others = [r for r in unspent if r != ref]
         else:
             ref = data.draw(st.sampled_from(unspent))
             held = self.state.unspent[ref]

@@ -459,6 +459,23 @@ class TestValidateBlock:
             assert result.code == E_MALFORMED_BLOCK
             assert "fee list" in result.detail
 
+    def test_fee_past_int64_is_malformed(self):
+        """A block digest packs each fee as an int64, so a larger fee is
+        refused even when the inputs cover it; the largest int64 fee is
+        accepted and its block applies."""
+        state = ChainState()
+        state.inject_genesis(b"\xaa" * 32, 2**64)
+        for fee in (2**63, 2**64 - 1):
+            tx = make_tx(2**64 - fee, 100, input_ref=b"\xaa" * 32)
+            result = validate_block(block_at(0, 0, [tx], [fee]), state, check_shard=False)
+            assert result.code == E_MALFORMED_BLOCK
+            assert "int64" in result.detail
+        tx = make_tx(2**63 + 1, 100, input_ref=b"\xaa" * 32)
+        block = block_at(0, 0, [tx], [2**63 - 1])
+        assert validate_block(block, state, check_shard=False)
+        apply_block(block, state)
+        assert state.fees_collected == 2**63 - 1
+
     def test_overdraft_rejected(self):
         state = ChainState()
         state.inject_genesis(b"\xaa" * 32, 50)
