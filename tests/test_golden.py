@@ -4,7 +4,9 @@ and of the ``hbsim segment``/``estimate`` output on a seeded dataset.
 ``CASES`` holds one config per mode. ``PATH_CASES`` are shorter runs that
 reach the paths those four never take: the per-subblock and hybrid-batch
 broadcast policies, log-normal and empirical transaction sizes, user-chosen
-levels, and a bounded child batch in concurrent mode. ``ANALYSIS_COMMANDS``
+levels, and in concurrent mode a bounded child batch, four levels (15 chains,
+so child chains are looked up two levels below the root) and log-normal
+sizes with overridden levels routed to their chains. ``ANALYSIS_COMMANDS``
 run the dataset commands on rows with exact ties in beta, zero-value rows and
 an extra column. ``GEN_DIGEST`` pins the file ``hbsim gen`` writes.
 
@@ -92,6 +94,33 @@ PATH_CASES = {
     "concurrent-batch2": (
         dict(mode="concurrent", seed=9, max_child_batch=2, chain_target_times=(429.0, 124.0, 44.5)),
         "ec2cf3535a2b221ac134bc7865c0e63159984ca964afa60dbbac93cd77340b9d",
+    ),
+    "concurrent-4-levels": (
+        dict(
+            mode="concurrent",
+            seed=17,
+            num_levels=4,
+            duration=600.0 * 60,
+            chain_target_times=(600.0, 300.0, 120.0, 50.0),
+        ),
+        "f8cecb9c3fe3bfef7d8f984108ec735fb85fd374b2a5ae786d0ab48db9a4edcc",
+    ),
+    "concurrent-lognormal-override": (
+        dict(
+            mode="concurrent",
+            seed=23,
+            duration=600.0 * 80,
+            chain_target_times=(429.0, 124.0, 44.5),
+            workload=WorkloadSpec(
+                rate=0.2,
+                lg_beta_mu=3.0,
+                lg_beta_sigma=1.0,
+                size_mode="lognormal",
+                size_params=(6.0, 0.4),
+                level_override_fraction=0.2,
+            ),
+        ),
+        "8bd92183f591ee1cdb51a15e2ce4fabbae627b2c3ffbf47b4673bb759514ab0b",
     ),
 }
 
