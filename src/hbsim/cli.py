@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 when arguments or inputs fail validation, 1 on
 unexpected runtime errors or a simulation that ended early (a stalled tree
-run). All stochastic subcommands are pinned by --seed.
+run). A simulation that skipped more than 1% of its arrivals says so on
+stderr and still exits 0. All stochastic subcommands are pinned by --seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from pathlib import Path
 from . import dataio, economics, segmentation, sharding
 from .core import NetworkParams
 from .simulator import SimConfig, equal_miners, simulate
+
+# A run that skipped more than this share of its arrivals (no unreserved
+# input could fund them) simulated a lighter workload than it was given.
+STARVED_SHARE = 0.01
 
 TABLE_ROWS = (
     ("|T_l|", lambda s: s.count),
@@ -238,9 +243,16 @@ def cmd_simulate(args, out) -> int:
         mean = f"{sum(times) / len(times):.2f}s" if times else "n/a"
         out.write(
             f"seed {seed}: periods={len(times)} mean_period={mean} "
-            f"confirmed={report.txs_confirmed} violations={report.conservation_violations} "
-            f"-> {path}\n"
+            f"confirmed={report.txs_confirmed} skipped={report.txs_skipped} "
+            f"violations={report.conservation_violations} -> {path}\n"
         )
+        if report.txs_skipped > STARVED_SHARE * report.txs_generated:
+            print(
+                f"hbsim: seed {seed}: {report.txs_skipped / report.txs_generated:.1%} of "
+                f"{report.txs_generated} arrivals were skipped for want of an unreserved input; "
+                f"the run did not simulate its configured workload",
+                file=sys.stderr,
+            )
         stalled = report.tree["stalled"] if report.tree else None
         if stalled:
             level, shard = stalled["shard"]

@@ -89,6 +89,31 @@ class TestSimulateCommand:
         assert len(files) == 2
         assert "seed 3" in text and "seed 4" in text
 
+    def test_starved_run_says_so(self, tmp_path, capsys):
+        """At 20 tx/s the 512 genesis outputs fund about one arrival in ten;
+        the run still exits 0 but names the skipped share on stderr."""
+        code, text = invoke(
+            ["simulate", "--mode", "flat", "--levels", "3", "--rate", "20", "--periods", "4",
+             "--out-dir", str(tmp_path), "--out", "s.json"]
+        )
+        err = capsys.readouterr().err
+        assert code == 0
+        payload = json.loads((tmp_path / "s.json").read_text())
+        skipped, generated = payload["txs_skipped"], payload["txs_generated"]
+        assert skipped > 0.9 * generated
+        assert f" skipped={skipped} " in text
+        assert f"hbsim: seed 0: {skipped / generated:.1%} of {generated} arrivals were skipped" in err
+        # the default 100 periods at 0.2 tx/s skip 63 of 12,364 (0.5%): a count, no note
+        code, text = invoke(
+            ["simulate", "--mode", "flat", "--levels", "3",
+             "--out-dir", str(tmp_path), "--out", "f.json"]
+        )
+        payload = json.loads((tmp_path / "f.json").read_text())
+        assert code == 0
+        assert payload["txs_skipped"] <= 0.01 * payload["txs_generated"]
+        assert f" skipped={payload['txs_skipped']} " in text
+        assert capsys.readouterr().err == ""
+
     def test_report_is_valid_json(self, tmp_path):
         code, _ = invoke(
             ["simulate", "--mode", "concurrent", "--levels", "2", "--seed", "1",
