@@ -67,10 +67,6 @@ def _nonce_bytes(nonce: bytes | GlobalNonce | None) -> bytes:
     return nonce.value if isinstance(nonce, GlobalNonce) else nonce
 
 
-def _digest(identifier: bytes, nonce: bytes | GlobalNonce | None) -> bytes:
-    return hashlib.sha256(identifier + _nonce_bytes(nonce)).digest()
-
-
 def _check_level(level: int) -> None:
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -85,7 +81,7 @@ def shard_path(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None 
     be re-randomized every period.
     """
     _check_level(level)
-    digest = _digest(identifier, nonce)
+    digest = hashlib.sha256(identifier + _nonce_bytes(nonce)).digest()
     branch = [0]
     shard = 0
     for i in range(level):
@@ -102,7 +98,7 @@ def shard_index(level: int, identifier: bytes, nonce: bytes | GlobalNonce | None
     The index at any shallower level l is ``shard_index(level, ...) >> (level - l)``.
     """
     _check_level(level)
-    return int.from_bytes(_digest(identifier, nonce), "big") >> (256 - level)
+    return int.from_bytes(hashlib.sha256(identifier + _nonce_bytes(nonce)).digest(), "big") >> (256 - level)
 
 
 def _check_tx(level: int, tx: ExtendedTransaction) -> None:
@@ -126,9 +122,15 @@ def tx_shard(
 def tx_shard_index(
     level: int, tx: ExtendedTransaction, nonce: bytes | GlobalNonce | None = None
 ) -> int:
-    """``tx_shard(level, tx, nonce).index``, with the same checks and errors."""
-    _check_tx(level, tx)
-    return shard_index(level, tx.input_ref, nonce)
+    """``tx_shard(level, tx, nonce).index``, with the same checks and errors, hashed in one call."""
+    ref = tx.input_ref
+    if ref is None or (level > 0 and tx.extra_input_refs):
+        _check_tx(level, tx)  # raises with the per-transaction message
+    if not 0 <= level < 256:
+        _check_level(level)
+    if nonce is not None:
+        ref = ref + (nonce.value if isinstance(nonce, GlobalNonce) else nonce)
+    return int.from_bytes(hashlib.sha256(ref).digest(), "big") >> (256 - level)
 
 
 def shard_indices(
@@ -136,14 +138,8 @@ def shard_indices(
 ) -> Iterator[int]:
     """``shard_index(level, identifier, nonce)`` per identifier, each hashed only when pulled."""
     _check_level(level)
-    return _indices(256 - level, identifiers, _nonce_bytes(nonce))
-
-
-def _indices(shift: int, identifiers: Iterable[bytes], suffix: bytes) -> Iterator[int]:
-    sha256 = hashlib.sha256
-    from_bytes = int.from_bytes
-    for identifier in identifiers:
-        yield from_bytes(sha256(identifier + suffix).digest(), "big") >> shift
+    suffix, shift = _nonce_bytes(nonce), 256 - level
+    return (int.from_bytes(hashlib.sha256(ref + suffix).digest(), "big") >> shift for ref in identifiers)
 
 
 def tx_shard_indices(
@@ -154,14 +150,8 @@ def tx_shard_indices(
     ``level`` is checked when called; a transaction's checks and hash run when
     its index is pulled, and a failing check raises the per-transaction error.
     """
-    return shard_indices(level, _input_refs(level, txs), nonce)
-
-
-def _input_refs(level: int, txs: Iterable[ExtendedTransaction]) -> Iterator[bytes]:
-    for tx in txs:
-        if tx.input_ref is None or (level and tx.extra_input_refs):
-            _check_tx(level, tx)  # raises with the per-transaction message
-        yield tx.input_ref
+    _check_level(level)
+    return (tx_shard_index(level, tx, nonce) for tx in txs)
 
 
 def nonce_step(local: bytes, left: bytes = b"", right: bytes = b"") -> bytes:

@@ -44,6 +44,9 @@ _VALUE_MASK = ~_POS_MASK
 # SubBlock.digest packs each fee as a little-endian int64.
 _MAX_FEE = 2**63 - 1
 
+# Samples pick_at_least draws from the boundary bucket on, and again above it.
+_TRIES = 8
+
 
 class ConservationError(AssertionError):
     """The value-conservation identity failed; this is always a simulator bug."""
@@ -88,17 +91,13 @@ class SubBlock:
 
     def digest(self) -> bytes:
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(struct.pack("<iiqd", self.level, self.shard, self.seq, self.mined_at))
-            h.update(self.parent_ref)
-            for ref in self.child_refs:
-                h.update(ref)
+            parts = [struct.pack("<iiqd", self.level, self.shard, self.seq, self.mined_at), self.parent_ref]
+            parts += self.child_refs
             for tx, fee in zip(self.txs, self.fees_sat):
-                h.update(tx.id)
-                h.update(struct.pack("<q", fee))
+                parts += (tx.id, struct.pack("<q", fee))
             if self.carried is not None:
-                h.update(self.carried.pack())
-            self._digest = h.digest()
+                parts.append(self.carried.pack())
+            self._digest = hashlib.sha256(b"".join(parts)).digest()
         return self._digest
 
 
@@ -204,23 +203,25 @@ class ChainState:
         self.minted += value
         self.check_conservation()
 
-    def pick_at_least(self, needed: int, rng, excluded: set[bytes], tries: int = 8) -> bytes | None:
+    def pick_at_least(self, needed: int, rng, excluded: set[bytes]) -> bytes | None:
         """Sample an unspent output worth at least ``needed`` satoshi.
 
         Sampling is uniform over the candidate buckets' members. Only the
         boundary bucket (same bit length as ``needed``) can hold too-small
-        values, so after a few misses sampling moves strictly above it, and
-        as a last resort the boundary bucket is scanned directly.
+        values, so after ``_TRIES`` misses sampling moves strictly above it,
+        and as a last resort the boundary bucket is scanned directly.
 
-        One sample draws ``rng.randrange`` over the outputs in the buckets
-        from ``start`` on and takes the drawn position in bucket-key order,
-        found by bisecting the cached bucket starts. The starts are rebuilt
-        only after the registry changed, so a run of picks between two
-        blocks shares one rebuild.
+        One sample draws a position below the count ``n`` of outputs in the
+        buckets from ``lo`` on and bisects the cached bucket starts (rebuilt
+        only after the registry changed) for the output there. The draw is
+        ``rng.randrange(n)`` written out on ``getrandbits``: on the pinned
+        CPython 3.11.7 it consumes exactly the words ``randrange`` does, as
+        the stateful test (``tests/test_chainstate_stateful.py``) checks
+        against the ``randrange`` reference in ``tests/reference_sampler.py``.
 
         A candidate's packed entry is compared with ``needed << _POS_BITS``,
         which is ``value >= needed`` because its position is below
-        ``2**_POS_BITS``.
+        ``2**_POS_BITS``; every output above the boundary bucket passes.
         """
         floor_key = needed.bit_length()
         least = needed << _POS_BITS
@@ -233,29 +234,25 @@ class ChainState:
                 itertools.accumulate((len(buckets[key]) for key in keys), initial=0)
             )
         end = starts[-1]
-
-        def sample(start: int) -> bytes | None:
-            first = starts[start]
-            if first == end:
-                return None
-            pick = first + rng.randrange(end - first)
-            i = bisect.bisect_right(starts, pick, start) - 1
-            return buckets[keys[i]][pick - starts[i]]
-
-        start = bisect.bisect_left(keys, floor_key)
-        for _ in range(tries):
-            output_id = sample(start)
-            if output_id is None:
-                return None
-            if output_id not in excluded and entries[output_id] >= least:
-                return output_id
-        above = bisect.bisect_left(keys, floor_key + 1)
-        for _ in range(tries):
-            output_id = sample(above)
-            if output_id is None:
+        getrandbits = rng.getrandbits
+        bisect_right = bisect.bisect_right
+        # first from the boundary bucket on, then strictly above it; with no
+        # output from the boundary on, the boundary scan below finds none
+        for lo in (bisect.bisect_left(keys, floor_key), bisect.bisect_left(keys, floor_key + 1)):
+            first = starts[lo]
+            n = end - first
+            if not n:
                 break
-            if output_id not in excluded:
-                return output_id
+            k = n.bit_length()
+            for _ in range(_TRIES):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                pick = first + r
+                i = bisect_right(starts, pick, lo) - 1
+                output_id = buckets[keys[i]][pick - starts[i]]
+                if output_id not in excluded and entries[output_id] >= least:
+                    return output_id
         for output_id in buckets.get(floor_key, ()):
             if output_id not in excluded and entries[output_id] >= least:
                 return output_id
@@ -281,6 +278,9 @@ class ValidationResult:
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+_ACCEPTED = ValidationResult(accepted=True)
 
 
 def _reject(code: str, detail: str) -> ValidationResult:
@@ -352,7 +352,7 @@ def validate_block(
             or got.bits_level_sums != expected_carried.bits_level_sums
         ):
             return _reject(E_BAD_CARRIED_AVERAGE, "carried header averages do not recompute")
-    return ValidationResult(accepted=True)
+    return _ACCEPTED
 
 
 def apply_block(block: SubBlock, state: ChainState) -> None:

@@ -396,17 +396,8 @@ class _Run:
 
     def _block(self, level: int, shard: int, seq: int, parent_ref: bytes, chosen: list[MempoolEntry],
                mined_at: float, bits: int, child_refs: tuple[bytes, ...] = ()) -> SubBlock:
-        return SubBlock(
-            level=level,
-            shard=shard,
-            seq=seq,
-            parent_ref=parent_ref,
-            child_refs=child_refs,
-            txs=tuple(e.tx for e in chosen),
-            fees_sat=tuple(e.fee_sat for e in chosen),
-            mined_at=mined_at,
-            size_bits=bits,
-        )
+        txs, fees = tuple([e.tx for e in chosen]), tuple([e.fee_sat for e in chosen])
+        return SubBlock(level, shard, seq, parent_ref, child_refs, txs, fees, mined_at, bits)
 
     def _mine_level(self, level: int, parent_ref: bytes, seq: int) -> SubBlock:
         """Fill one flat level by fee rate under its cap, mine it from now and accept it."""
@@ -841,6 +832,10 @@ class _ConcurrentRun(_Run):
     """Every (level, shard) chain mines continuously at its schedule cadence;
     parents batch-reference all not-yet-referenced child blocks.
 
+    Per-chain state sits in lists indexed in heap order: chain ``c = 2**l - 1
+    + s`` is (level l, shard s), and its children are chains ``2c + 1`` and
+    ``2c + 2``.
+
     Latencies are folded as they become known: a transaction's inclusion
     latency when its block is mined, and its root-path latency when a level-0
     block settles the subtree holding its block. Only unsettled blocks are
@@ -853,162 +848,164 @@ class _ConcurrentRun(_Run):
         cfg = self.cfg
         num_levels = cfg.num_levels
         chains = [(l, s) for l in range(num_levels) for s in range(2**l)]
-        chain_mempool: dict[tuple[int, int], list[MempoolEntry]] = {c: [] for c in chains}
-        unreferenced: dict[tuple[int, int], list[bytes]] = {c: [] for c in chains}
+        self.chain_level = [l for l, _ in chains]
+        self.chain_mempool: list[list[MempoolEntry]] = [[] for _ in chains]
+        self.unreferenced: list[list[bytes]] = [[] for _ in chains]
+        self.chain_tip = [b"\x00" * 32] * len(chains)
+        self.chain_dt_sum = [0.0] * len(chains)
+        self.chain_blocks = [0] * len(chains)
+        self.chain_last = [0.0] * len(chains)
         # every child reference mined, as 32 digest bytes each
-        reference_log = bytearray()
-        root_digests: set[bytes] = set()
+        self.reference_log = bytearray()
+        self.root_digests: set[bytes] = set()
         # digest -> (level, child refs, arrival times of the block's transactions)
-        unsettled: dict[bytes, tuple[int, tuple[bytes, ...], array]] = {}
-        inclusion = [array("d") for _ in range(num_levels)]
-        rootpath = [array("d") for _ in range(num_levels)]
-        chain_dt_sum = {c: 0.0 for c in chains}
-        chain_blocks = {c: 0 for c in chains}
-        chain_last = {c: 0.0 for c in chains}
+        self.unsettled: dict[bytes, tuple[int, tuple[bytes, ...], array | tuple]] = {}
+        self.inclusion = [array("d") for _ in range(num_levels)]
+        self.rootpath = [array("d") for _ in range(num_levels)]
         if cfg.chain_target_times is not None:
-            cadence = list(cfg.chain_target_times)
+            self.cadence = cadence = list(cfg.chain_target_times)
         else:
-            cadence = list(self.expected_times)
+            self.cadence = cadence = list(self.expected_times)
             check_concurrent_blocks(cfg.duration, cadence)
-        chain_pool_limit = [
-            max(32, self.pool_limits[l] // 2**l) for l in range(num_levels)
-        ]
-        heap: list[tuple[float, int, tuple[int, int]]] = []
-        counter = 0
-        for chain in chains:
-            dt = self.rng.expovariate(1.0 / cadence[chain[0]])
-            heapq.heappush(heap, (dt, counter, chain))
-            counter += 1
-
-        def route(level: int, entry: MempoolEntry, arrival: float) -> None:
-            entry.arrival = arrival
-            chain_mempool[(level, tx_shard_index(level, entry.tx))].append(entry)
+        self.chain_pool_limit = [max(32, self.pool_limits[l] // 2**l) for l in range(num_levels)]
+        chain_rate = [1.0 / cadence[l] for l in self.chain_level]
+        expovariate = self.rng.expovariate
+        heap = [(expovariate(chain_rate[c]), c, c) for c in range(len(chains))]
+        heapq.heapify(heap)
+        counter = len(chains)
 
         # the preseeded backlog joins the chains with the first drawn arrival
-        backlog = [(level, entry) for level, pool in enumerate(self.mempool) for entry in pool]
+        self.backlog = [(level, entry) for level, pool in enumerate(self.mempool) for entry in pool]
         for pool in self.mempool:
             pool.clear()
 
-        # arrivals route straight to their chain; intercept the base mempool
-        def drain(until: float) -> None:
-            nonlocal backlog
-            while self._next_arrival < until:
-                arrival_time = self._next_arrival
-                level = self._generate_arrival()
-                self._next_arrival += self.rng.expovariate(cfg.workload.rate)
-                if level is not None:
-                    route(level, self.mempool[level].pop(), arrival_time)
-                for level, entry in backlog:
-                    route(level, entry, arrival_time)
-                backlog = ()
-
-        def settle(digest: bytes, t_root: float) -> None:
-            """Fold the root-path latencies of a level-0 block's unsettled subtree."""
-            stack = [digest]
-            while stack:
-                block = unsettled.pop(stack.pop(), None)
-                if block is None:
-                    continue
-                level, refs, arrivals = block
-                rootpath[level].extend(t_root - arrival for arrival in arrivals)
-                stack.extend(refs)
-
-        def mine(chain: tuple[int, int], now: float, sweep: bool):
-            level, shard = chain
-            chosen = []
-            if chain_mempool[chain]:
-                [chosen], rest = take_by_fee_rate(chain_mempool[chain], cfg.max_subblock_bytes)
-                self._evict(rest, chain_pool_limit[level])
-                chain_mempool[chain] = rest
-            refs = []
-            if level < num_levels - 1:
-                for kid in ((level + 1, 2 * shard), (level + 1, 2 * shard + 1)):
-                    batch = unreferenced[kid]
-                    take = len(batch) if cfg.max_child_batch is None else min(len(batch), cfg.max_child_batch)
-                    refs.extend(batch[:take])
-                    unreferenced[kid] = batch[take:]
-            bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-            block = self._block(
-                level,
-                shard,
-                chain_blocks[chain],
-                self.state.tips.get(chain, b"\x00" * 32),
-                chosen,
-                now,
-                bits,
-                tuple(refs),
-            )
-            dt = now - chain_last[chain]
-            self._accept(block, chosen, dt, nonce=None, check_shard=True)
-            digest = block.digest()
-            reference_log.extend(b"".join(refs))
-            arrivals = array("d", [e.arrival for e in chosen])
-            inclusion[level].extend(now - arrival for arrival in arrivals)
-            unsettled[digest] = (level, block.child_refs, arrivals)
-            if level > 0:
-                unreferenced[chain].append(digest)
-            if not sweep:
-                chain_dt_sum[chain] += dt
-                chain_blocks[chain] += 1
-            chain_last[chain] = now
-            if chain == (0, 0):
-                root_digests.add(digest)
-                settle(digest, now)
-                self._mint_shard_rewards(cadence, f"conc/{block.seq}/0")
-
-        while heap and heap[0][0] < cfg.duration:
-            now, _, chain = heapq.heappop(heap)
+        duration = cfg.duration
+        while heap[0][0] < duration:
+            now, _, c = heap[0]
             self.t = now
-            drain(now)
-            mine(chain, now, sweep=False)
-            dt_next = self.rng.expovariate(1.0 / cadence[chain[0]])
-            heapq.heappush(heap, (now + dt_next, counter, chain))
+            if self._next_arrival < now:
+                self._drain(now)
+            self._mine(c, now, False)
+            heapq.heapreplace(heap, (now + expovariate(chain_rate[c]), counter, c))
             counter += 1
 
         # finalization sweep: parents collect every outstanding child block
-        t_sweep = max(self.t, cfg.duration)
+        unreferenced = self.unreferenced
+        t_sweep = max(self.t, duration)
         for level in range(num_levels - 2, -1, -1):
-            for shard in range(2**level):
-                kids = ((level + 1, 2 * shard), (level + 1, 2 * shard + 1))
-                if any(unreferenced[k] for k in kids):
-                    t_sweep += self.rng.expovariate(1.0 / cadence[level])
+            for c in range(2**level - 1, 2 ** (level + 1) - 1):
+                if unreferenced[2 * c + 1] or unreferenced[2 * c + 2]:
+                    t_sweep += expovariate(1.0 / cadence[level])
                     self.t = t_sweep
-                    mine((level, shard), t_sweep, sweep=True)
+                    self._mine(c, t_sweep, True)
 
         # Sorted once, the reference log counts the distinct referenced digests.
         # Orphans are blocks no parent referenced (they and their subtrees stay
         # unsettled): the digests left unreferenced that the log does not hold.
-        referenced = np.frombuffer(reference_log, dtype="V32")
+        referenced = np.frombuffer(self.reference_log, dtype="V32")
         referenced.sort()
         distinct = int(np.count_nonzero(referenced[1:] != referenced[:-1])) + 1 if len(referenced) else 0
-        left = np.frombuffer(b"".join(set().union(*unreferenced.values())), dtype="V32")
+        left = np.frombuffer(b"".join(set().union(*unreferenced)), dtype="V32")
         at = np.searchsorted(referenced, left)
         inside = at < len(referenced)
         orphans = len(left) - int(np.count_nonzero(referenced[at[inside]] == left[inside]))
 
         report = self._finalize()
+        blocks = self.chain_blocks
         report.concurrent = {
             "per_chain": {
                 f"{l},{s}": {
-                    "blocks": chain_blocks[(l, s)],
-                    "mean_dt": (chain_dt_sum[(l, s)] / chain_blocks[(l, s)])
-                    if chain_blocks[(l, s)]
-                    else 0.0,
+                    "blocks": blocks[c],
+                    "mean_dt": self.chain_dt_sum[c] / blocks[c] if blocks[c] else 0.0,
                     "target_dt": cadence[l],
                 }
-                for (l, s) in chains
+                for c, (l, s) in enumerate(chains)
             },
-            "inclusion_latency": {str(l): summarize_latencies(inclusion[l]) for l in range(num_levels)},
-            "root_path_latency": {str(l): summarize_latencies(rootpath[l]) for l in range(num_levels)},
+            "inclusion_latency": {str(l): summarize_latencies(self.inclusion[l]) for l in range(num_levels)},
+            "root_path_latency": {str(l): summarize_latencies(self.rootpath[l]) for l in range(num_levels)},
             "audit": {
                 # distinct digests: every mined block is a root, referenced or an orphan
-                "blocks": distinct + orphans + len(root_digests),
+                "blocks": distinct + orphans + len(self.root_digests),
                 "orphans": orphans,
                 # each repeat reference of a child block counts once
                 "multi_referenced": len(referenced) - distinct,
             },
         }
         return report
+
+    def _drain(self, until: float) -> None:
+        """Draw the arrivals due before ``until``, each routed straight to its chain."""
+        rate = self.cfg.workload.rate
+        while self._next_arrival < until:
+            arrival_time = self._next_arrival
+            level = self._generate_arrival()
+            self._next_arrival += self.rng.expovariate(rate)
+            if level is not None:
+                self._route(level, self.mempool[level].pop(), arrival_time)
+            for level, entry in self.backlog:
+                self._route(level, entry, arrival_time)
+            self.backlog = ()
+
+    def _route(self, level: int, entry: MempoolEntry, arrival: float) -> None:
+        entry.arrival = arrival
+        self.chain_mempool[2**level - 1 + tx_shard_index(level, entry.tx)].append(entry)
+
+    def _settle(self, digest: bytes, t_root: float) -> None:
+        """Fold the root-path latencies of a level-0 block's unsettled subtree."""
+        unsettled = self.unsettled
+        stack = [digest]
+        while stack:
+            block = unsettled.pop(stack.pop(), None)
+            if block is None:
+                continue
+            level, refs, arrivals = block
+            if arrivals:
+                self.rootpath[level].extend(t_root - arrival for arrival in arrivals)
+            stack += refs
+
+    def _mine(self, c: int, now: float, sweep: bool) -> None:
+        """Mine chain ``c``'s next block at ``now`` and accept it."""
+        cfg = self.cfg
+        level = self.chain_level[c]
+        pool = self.chain_mempool[c]
+        bits = cfg.header_bits
+        if pool:
+            [chosen], rest = take_by_fee_rate(pool, cfg.max_subblock_bytes)
+            self._evict(rest, self.chain_pool_limit[level])
+            self.chain_mempool[c] = rest
+            bits += sum(e.size_bits for e in chosen)
+        else:
+            chosen = []
+        refs = []
+        if level < cfg.num_levels - 1:
+            for kid in (2 * c + 1, 2 * c + 2):
+                batch = self.unreferenced[kid]
+                if batch:
+                    take = len(batch) if cfg.max_child_batch is None else cfg.max_child_batch
+                    refs += batch[:take]
+                    del batch[:take]
+        dt = now - self.chain_last[c]
+        block = self._block(
+            level, c + 1 - 2**level, self.chain_blocks[c], self.chain_tip[c], chosen, now, bits, tuple(refs)
+        )
+        self._accept(block, chosen, dt, nonce=None, check_shard=True)
+        self.chain_tip[c] = digest = block.digest()
+        self.reference_log += b"".join(refs)
+        arrivals = array("d", [e.arrival for e in chosen]) if chosen else ()
+        if arrivals:
+            self.inclusion[level].extend(now - arrival for arrival in arrivals)
+        # a header-only block still links its children to the settling root
+        self.unsettled[digest] = (level, block.child_refs, arrivals)
+        if level:
+            self.unreferenced[c].append(digest)
+        if not sweep:
+            self.chain_dt_sum[c] += dt
+            self.chain_blocks[c] += 1
+        self.chain_last[c] = now
+        if not c:
+            self.root_digests.add(digest)
+            self._settle(digest, now)
+            self._mint_shard_rewards(self.cadence, f"conc/{block.seq}/0")
 
 
 def summarize_latencies(values: array) -> dict | None:
