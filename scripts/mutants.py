@@ -39,7 +39,13 @@ from bench_record import git, worktree
 
 STATEFUL = "tests/test_chainstate_stateful.py::TestChainStateMachine"
 UNITS = "tests/test_simulator_units.py"
+RUNS = "tests/test_simulator_runs.py::TestConcurrentRun"
+GOLDEN_CONCURRENT = (
+    "tests/test_golden.py::test_canonical_json_digest[concurrent]",
+    "tests/test_golden.py::test_path_digest[concurrent-4-levels]",
+)
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
+ENGINE = "src/hbsim/simulator/engine.py"
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,77 @@ MUTANTS = (
         "        if self.genesis_value_sat < 1:\n",
         "        if self.genesis_value_sat < 0:\n",
         (f"{UNITS}::TestCoords::test_config_validation",),
+    ),
+    Mutant(
+        "sampler-accepts-word-equal-to-range",
+        CHAINSTATE,
+        "                while r >= n:\n",
+        "                while r > n:\n",
+        (STATEFUL,),
+    ),
+    Mutant(
+        "digest-drops-child-refs",
+        CHAINSTATE,
+        "            parts += self.child_refs\n",
+        "",
+        (f"{UNITS}::TestSubBlockDigest::test_digest_bytes_are_pinned",),
+    ),
+    Mutant(
+        "tx-shard-index-one-bit-too-many",
+        "src/hbsim/sharding.py",
+        'hashlib.sha256(ref).digest(), "big") >> (256 - level)',
+        'hashlib.sha256(ref).digest(), "big") >> (255 - level)',
+        ("tests/test_sharding.py::TestShardIndex::test_tx_form_equals_tx_shard", *GOLDEN_CONCURRENT),
+    ),
+    Mutant(
+        "left-child-taken-twice",
+        ENGINE,
+        "for kid in (2 * c + 1, 2 * c + 2):",
+        "for kid in (2 * c + 1, 2 * c + 1):",
+        (
+            f"{RUNS}::test_every_child_referenced_exactly_once",
+            f"{RUNS}::test_reference_audit_matches_set_oracle",
+            *GOLDEN_CONCURRENT,
+        ),
+    ),
+    Mutant(
+        "header-only-block-not-unsettled",
+        ENGINE,
+        "        self.unsettled[digest] = (level, block.child_refs, arrivals)\n",
+        "        if chosen:\n            self.unsettled[digest] = (level, block.child_refs, arrivals)\n",
+        (f"{RUNS}::test_every_inclusion_settles_without_orphans", *GOLDEN_CONCURRENT),
+    ),
+    Mutant(
+        "repeated-references-not-deduplicated",
+        ENGINE,
+        "        distinct = int(np.count_nonzero(referenced[1:] != referenced[:-1])) + 1 if len(referenced) else 0\n",
+        "        distinct = len(referenced)\n",
+        (
+            f"{RUNS}::test_repeated_child_reference_is_counted",
+            f"{RUNS}::test_reference_audit_matches_set_oracle[colliding-digests]",
+            f"{RUNS}::test_reference_audit_matches_set_oracle[colliding-batch-2]",
+        ),
+    ),
+    Mutant(
+        "orphans-counted-without-the-log",
+        ENGINE,
+        "        orphans = len(left) - int(np.count_nonzero(referenced[at[inside]] == left[inside]))\n",
+        "        orphans = len(left)\n",
+        (f"{RUNS}::test_reference_audit_matches_set_oracle[colliding-batch-2]",),
+    ),
+    Mutant(
+        "median-without-two-middle-average",
+        ENGINE,
+        '"median": at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2,',
+        '"median": at(n // 2),',
+        (f"{UNITS}::TestSummarizeLatencies::test_matches_list_summary_on_random_counts",),
+    ),
+    Mutant(
+        "p10-index-from-count",
+        ENGINE,
+        '"p10": at(int(0.1 * (n - 1))),',
+        '"p10": at(int(0.1 * n)),',
+        (f"{UNITS}::TestSummarizeLatencies::test_matches_list_summary_on_random_counts",),
     ),
 )
 
