@@ -4,9 +4,11 @@ and of the ``hbsim segment``/``estimate`` output on a seeded dataset.
 ``CASES`` holds one config per mode. ``PATH_CASES`` are shorter runs that
 reach the paths those four never take: the per-subblock and hybrid-batch
 broadcast policies, log-normal and empirical transaction sizes, user-chosen
-levels, and in concurrent mode a bounded child batch, four levels (15 chains,
+levels, in concurrent mode a bounded child batch, four levels (15 chains,
 so child chains are looked up two levels below the root) and log-normal
-sizes with overridden levels routed to their chains. ``ANALYSIS_COMMANDS``
+sizes with overridden levels routed to their chains, and in tree mode four
+levels, log-normal sizes with overridden levels, miners of unequal hashrate
+and a run that stalls in its 34th round. ``ANALYSIS_COMMANDS``
 run the dataset commands on rows with exact ties in beta, zero-value rows and
 an extra column. ``GEN_DIGEST`` pins the file ``hbsim gen`` writes.
 
@@ -29,7 +31,7 @@ import pytest
 
 from hbsim.cli import run_cli
 from hbsim.dataio import DatasetRow, WorkloadSpec, write_dataset
-from hbsim.simulator import SimConfig, equal_miners, simulate
+from hbsim.simulator import Miner, SimConfig, equal_miners, simulate
 
 PINNED_ON = "Linux x86_64, glibc 2.36, CPython 3.11.7"
 
@@ -57,6 +59,15 @@ CASES = {
 
 SHORT = dict(BASE, duration=600.0 * 200)
 
+LOGNORMAL_OVERRIDE = WorkloadSpec(
+    rate=0.2,
+    lg_beta_mu=3.0,
+    lg_beta_sigma=1.0,
+    size_mode="lognormal",
+    size_params=(6.0, 0.4),
+    level_override_fraction=0.2,
+)
+
 PATH_CASES = {
     "flat-per-subblock": (
         dict(mode="flat", seed=7, broadcast="per-subblock"),
@@ -70,14 +81,7 @@ PATH_CASES = {
         dict(
             mode="flat",
             seed=5,
-            workload=WorkloadSpec(
-                rate=0.2,
-                lg_beta_mu=3.0,
-                lg_beta_sigma=1.0,
-                size_mode="lognormal",
-                size_params=(6.0, 0.4),
-                level_override_fraction=0.2,
-            ),
+            workload=LOGNORMAL_OVERRIDE,
         ),
         "1a5a28b74c096f975055810a41b62fca222ba2b30cf64557941069a1460bedcb",
     ),
@@ -111,16 +115,31 @@ PATH_CASES = {
             seed=23,
             duration=600.0 * 80,
             chain_target_times=(429.0, 124.0, 44.5),
-            workload=WorkloadSpec(
-                rate=0.2,
-                lg_beta_mu=3.0,
-                lg_beta_sigma=1.0,
-                size_mode="lognormal",
-                size_params=(6.0, 0.4),
-                level_override_fraction=0.2,
-            ),
+            workload=LOGNORMAL_OVERRIDE,
         ),
         "8bd92183f591ee1cdb51a15e2ce4fabbae627b2c3ffbf47b4673bb759514ab0b",
+    ),
+    "tree-4-levels": (
+        dict(mode="tree", seed=19, num_levels=4, duration=600.0 * 60, miners=equal_miners(128)),
+        "7dcfa50f00481695ce0cd32718e56480f0696c8b3a9a8ed09509a53086878099",
+    ),
+    "tree-lognormal-override": (
+        dict(mode="tree", seed=29, duration=600.0 * 80, miners=equal_miners(48), workload=LOGNORMAL_OVERRIDE),
+        "5d3ae21066bf55ed43af1b517c5013ce92f039e969c1fe6f9b35f3e180eeb679",
+    ),
+    "tree-unequal-miners": (
+        dict(
+            mode="tree",
+            seed=31,
+            duration=600.0 * 80,
+            miners=tuple(Miner(b"miner-" + i.to_bytes(4, "big"), (1 + i % 5) * 1e16) for i in range(48)),
+        ),
+        "c5208e5b47932eb9a559498554c9b3ed82611b193b9f8b66717dd2c42efd85f0",
+    ),
+    # shard (2, 0) draws no miner in round 33, after two published calibrations
+    "tree-stall": (
+        dict(mode="tree", seed=5, miners=equal_miners(14), retarget_window=16),
+        "8e8796664dbebd70e501c8b08e10bffd945835ee4ab146ef59c197f282961bf4",
     ),
 }
 
