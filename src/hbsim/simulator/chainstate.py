@@ -131,7 +131,11 @@ class _UnspentView(Mapping):
 
 
 class ChainState:
-    """Unspent-output registry, chain tips, and the conservation ledger."""
+    """Unspent-output registry and the conservation ledger.
+
+    Which block a new block extends is the caller's to track: the sharded
+    modes keep each shard's last accepted block and link to its digest.
+    """
 
     def __init__(self) -> None:
         # output id -> value << _POS_BITS | index in _buckets[value.bit_length()]
@@ -144,7 +148,6 @@ class ChainState:
         # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
         # grand total appended; None once _add or _remove has moved a count
         self._starts: list[int] | None = None
-        self.tips: dict[tuple[int, int], bytes] = {}
         self.total_unspent = 0
         self.fees_collected = 0
         self.minted = 0
@@ -366,5 +369,4 @@ def apply_block(block: SubBlock, state: ChainState) -> None:
         if change > 0:
             state._add(change_output_id(tx.id), change)
         state.fees_collected += fee
-    state.tips[(block.level, block.shard)] = block.digest()
     state.check_conservation()

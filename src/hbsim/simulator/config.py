@@ -17,7 +17,7 @@ BROADCAST_WHOLE_MULTIBLOCK = "whole-multiblock"
 BROADCAST_HYBRID_BATCH = "hybrid-batch"
 BROADCASTS = (BROADCAST_PER_SUBBLOCK, BROADCAST_WHOLE_MULTIBLOCK, BROADCAST_HYBRID_BATCH)
 
-# Tree and concurrent runs keep per-shard maps over all 2^L - 1 shards and
+# Tree and concurrent runs keep per-shard lists over all 2^L - 1 shards and
 # walk them every round, so their level count is capped (65,535 shards).
 MAX_SHARDED_LEVELS = 16
 
@@ -131,8 +131,13 @@ class SimConfig:
             raise ValueError("target_time must be positive")
         if self.mode == MODE_TREE and not self.miners:
             raise ValueError("tree mode needs a miner roster to divide among shards")
-        if self.broadcast is not None and self.broadcast not in BROADCASTS:
-            raise ValueError(f"unknown broadcast policy {self.broadcast!r}")
+        if self.broadcast is not None:
+            if self.mode != MODE_FLAT:
+                raise ValueError("broadcast only applies to flat mode")
+            if self.broadcast not in BROADCASTS:
+                raise ValueError(f"unknown broadcast policy {self.broadcast!r}")
+        if self.max_child_batch is not None and self.max_child_batch < 1:
+            raise ValueError("max_child_batch must be >= 1: a parent references at least one child block")
         if self.genesis_outputs < 1:
             raise ValueError("need at least one genesis output")
         if self.genesis_value_sat < 1:
@@ -153,12 +158,6 @@ class SimConfig:
             if any(t <= 0 for t in self.chain_target_times):
                 raise ValueError("chain_target_times must be positive")
             check_concurrent_blocks(self.duration, self.chain_target_times)
-
-    @property
-    def effective_broadcast(self) -> str:
-        if self.broadcast is not None:
-            return self.broadcast
-        return BROADCAST_WHOLE_MULTIBLOCK if self.mode in (MODE_FLAT, MODE_HYBRID) else BROADCAST_PER_SUBBLOCK
 
     @property
     def header_bits(self) -> int:

@@ -498,13 +498,6 @@ class _Run:
         for level, amount in enumerate(split):
             self.state.mint(reward_output_id(f"{tag}/{level}"), amount)
 
-    def _mint_shard_rewards(self, times: list[float], tag: str) -> None:
-        cfg = self.cfg
-        split = reward_split_tree(times, cfg.num_levels, cfg.block_reward_btc)
-        for level, shares in enumerate(split):
-            for shard, amount in enumerate(shares):
-                self.state.mint(reward_output_id(f"{tag}/{level}/{shard}"), amount)
-
     # -- finish -------------------------------------------------------------
 
     def _finalize(self) -> SimReport:
@@ -577,7 +570,7 @@ class _FlatRun(_Run):
         cfg = self.cfg
         top_ref = b"\x00" * 32
         period = 0
-        policy = cfg.effective_broadcast
+        policy = cfg.broadcast or BROADCAST_WHOLE_MULTIBLOCK
         while self.t < cfg.duration:
             t0 = self.t
             top_ref = self._mine_levels(range(cfg.num_levels - 1, -1, -1), top_ref, period, policy)
@@ -648,179 +641,184 @@ class _HybridRun(_Run):
 
 
 # ---------------------------------------------------------------------------
-# tree mode
+# sharded modes
 # ---------------------------------------------------------------------------
 
 
-class _TreeRun(_Run):
+class _ShardedRun(_Run):
+    """The binary tree of shards both sharded modes mine, in heap order.
+
+    Shard ``c = 2**l - 1 + s`` is (level l, shard s); its children are
+    ``2c + 1`` and ``2c + 2``, its parent ``(c - 1) // 2``. A shard's last
+    accepted block, ``last[c]``, is all the state it carries from one block
+    to the next: the next block's parent ref is its digest.
+    """
+
+    def __init__(self, config: SimConfig):
+        super().__init__(config)
+        self.coords = [(l, s) for l in range(config.num_levels) for s in range(2**l)]
+        self.last: list[SubBlock | None] = [None] * len(self.coords)
+
+    def _parent_ref(self, c: int) -> bytes:
+        last = self.last[c]
+        return b"\x00" * 32 if last is None else last.digest()
+
+    def _mint_shard_rewards(self, split: list[list[int]], tag: str) -> None:
+        """Mint each shard its share of ``split``, a ``reward_split_tree``."""
+        for level, shares in enumerate(split):
+            for shard, amount in enumerate(shares):
+                self.state.mint(reward_output_id(f"{tag}/{level}/{shard}"), amount)
+
+
+class _TreeRun(_ShardedRun):
     """Synchronized tree: each round mines every shard bottom-up, folds the
     global nonce, and reduces the calibration sums through block headers."""
 
     def run(self) -> SimReport:
         cfg = self.cfg
-        num_levels = cfg.num_levels
-        shards = [(l, s) for l in range(num_levels) for s in range(2**l)]
-        total_hashrate = sum(m.hashrate for m in cfg.miners)
-        peer_ids = [m.peer_id for m in cfg.miners]
-        prev_value_avg = {key: 0.0 for key in shards}
-        prev_beta_avg = {key: 0.0 for key in shards}
-        prev_bits_avg = {key: 0.0 for key in shards}
-        raw_value_samples: dict[tuple[int, int], list[float]] = {key: [] for key in shards}
-        epoch_raw: list[dict] = []
-        published: list[dict] = []
+        self.total_hashrate = sum(m.hashrate for m in cfg.miners)
+        self.raw_value_samples: list[list[float]] = [[] for _ in self.coords]
+        self.epoch_raw: list[dict] = []
+        self.published: list[dict] = []
+        self.non_root_blocks = self.child_references = 0
         # round 0 places miners and transactions under a seeded nonce too;
         # each later round uses the nonce its root folded
         nonce = self._random_id()
         stalled = None
         round_index = 0
-        non_root_blocks = 0
-        child_references = 0
         while self.t < cfg.duration:
             t0 = self.t
-            self._drain_arrivals(self.t)
-            i = round_index % cfg.retarget_window
-            # miners re-shard every round under the current global nonce; a
-            # miner's shard at level l is the leading l bits of its leaf index
-            shard_hashrate = {key: 0.0 for key in shards}
-            for miner, leaf in zip(cfg.miners, shard_indices(num_levels - 1, peer_ids, nonce)):
-                for l in range(num_levels):
-                    shard_hashrate[(l, leaf >> (num_levels - 1 - l))] += miner.hashrate
-            finish: dict[tuple[int, int], float] = {}
-            carried_map: dict[tuple[int, int], CarriedValues] = {}
-            block_map: dict[tuple[int, int], SubBlock] = {}
-            root_block = None
-            for level in range(num_levels - 1, -1, -1):
-                # transactions re-shard too, each only if its level's fill reaches it
-                shard_cap = max(cfg.min_cap_bytes, self.caps[level] // 2**level)
-                fills, self.mempool[level] = take_by_fee_rate(self.mempool[level], shard_cap, level, nonce)
-                for shard, chosen in enumerate(fills):
-                    key = (level, shard)
-                    alpha = shard_hashrate[key] / (total_hashrate / 2**level)
-                    if alpha == 0.0:
-                        stalled = {"round": round_index, "shard": list(key)}
-                        break
-                    bits = cfg.header_bits + sum(e.size_bits for e in chosen)
-                    if level == num_levels - 1:
-                        start = t0
-                        child_refs: tuple[bytes, ...] = ()
-                        child_sum = 0.0
-                        child_beta = [0.0] * num_levels
-                        child_bits = [0.0] * num_levels
-                        child_nonces: tuple[bytes, ...] = ()
-                    else:
-                        kids = ((level + 1, 2 * shard), (level + 1, 2 * shard + 1))
-                        start = max(
-                            finish[k] + propagation_delay(block_map[k].size_bits // 8, cfg)
-                            for k in kids
-                        )
-                        child_refs = tuple(block_map[k].digest() for k in kids)
-                        child_sum = sum(carried_map[k].subtree_sum for k in kids)
-                        child_beta = [
-                            carried_map[kids[0]].beta_level_sums[l]
-                            + carried_map[kids[1]].beta_level_sums[l]
-                            for l in range(num_levels)
-                        ]
-                        child_bits = [
-                            carried_map[kids[0]].bits_level_sums[l]
-                            + carried_map[kids[1]].bits_level_sums[l]
-                            for l in range(num_levels)
-                        ]
-                        child_nonces = (carried_map[kids[0]].nonce, carried_map[kids[1]].nonce)
-                    dt = sample_mining_time(self.rng, 2**level * self.eta_applied[level], bits, alpha)
-                    finish[key] = start + dt
-                    # distributed averages carried in the header
-                    betas = [e.tx.value / e.tx.size_bits for e in chosen]
-                    block_beta = sum(betas) / len(betas) if betas else 0.0
-                    value_sample = block_beta * bits
-                    raw_value_samples[key].append(value_sample)
-                    value_avg = recurrent_average(prev_value_avg[key], i, value_sample)
-                    beta_avg = recurrent_average(prev_beta_avg[key], i, block_beta)
-                    bits_avg = recurrent_average(prev_bits_avg[key], i, float(bits))
-                    prev_value_avg[key] = value_avg
-                    prev_beta_avg[key] = beta_avg
-                    prev_bits_avg[key] = bits_avg
-                    beta_sums = list(child_beta)
-                    bits_sums = list(child_bits)
-                    beta_sums[level] = beta_avg
-                    bits_sums[level] = bits_avg
-                    carried = CarriedValues(
-                        value_avg=value_avg,
-                        subtree_sum=value_avg + child_sum,
-                        beta_level_sums=tuple(beta_sums),
-                        bits_level_sums=tuple(bits_sums),
-                        nonce=nonce_step(self._random_id(), *child_nonces),
-                    )
-                    block = self._block(
-                        level,
-                        shard,
-                        round_index,
-                        self.state.tips.get(key, b"\x00" * 32),
-                        chosen,
-                        finish[key],
-                        bits,
-                        child_refs,
-                    )
-                    block.carried = carried
-                    self._accept(
-                        block, chosen, dt, nonce=nonce, check_shard=True, expected_carried=carried
-                    )
-                    carried_map[key] = carried
-                    block_map[key] = block
-                    child_references += len(child_refs)
-                    if level > 0:
-                        non_root_blocks += 1
-                    if key == (0, 0):
-                        root_block = block
-                if stalled:
-                    break
-                self._evict(self.mempool[level], self.pool_limits[level])
+            stalled = self._round(round_index, nonce, t0)
             if stalled:
                 break
-            nonce = carried_map[(0, 0)].nonce
-            self.t = finish[(0, 0)] + propagation_delay(root_block.size_bits // 8, cfg)
-            self._mint_shard_rewards(self.expected_times, f"tree/{round_index}")
+            root = self.last[0]
+            nonce = root.carried.nonce
+            self.t = root.mined_at + propagation_delay(root.size_bits // 8, cfg)
+            split = reward_split_tree(self.expected_times, cfg.num_levels, cfg.block_reward_btc)
+            self._mint_shard_rewards(split, f"tree/{round_index}")
             self._end_period(t0)
             round_index += 1
             if round_index % cfg.retarget_window == 0:
-                root = carried_map[(0, 0)]
-                c_pub = cfg.target_time * SATOSHI_PER_BTC / root.subtree_sum
-                eta_pub = []
-                for l in range(num_levels):
-                    mean_beta = root.beta_level_sums[l] / 2**l
-                    value = c_pub * mean_beta / SATOSHI_PER_BTC
-                    eta_pub.append(value if value > 0 else self.eta_formula[l])
-                avg_bits = [root.bits_level_sums[l] for l in range(num_levels)]
-                beta_means = [root.beta_level_sums[l] / 2**l or None for l in range(num_levels)]
-                realized = statistics.fmean(self.window_period_times)
-                published.append(
-                    {
-                        "round": round_index,
-                        "c_eta": c_pub,
-                        "eta": list(eta_pub),
-                        "subtree_sum": root.subtree_sum,
-                        "avg_level_bits": avg_bits,
-                    }
-                )
-                epoch_raw.append(
-                    {f"{l},{s}": list(raw_value_samples[(l, s)]) for (l, s) in shards}
-                )
-                raw_value_samples = {key: [] for key in shards}
-                self._update_gain(realized)
-                self._install_schedule(c_pub, eta_pub, avg_bits, realized, beta_means)
-                self._reset_window()
+                self._retarget_tree(round_index)
         report = self._finalize()
         report.tree = {
-            "published": published,
-            "raw_value_samples_per_epoch": epoch_raw,
+            "published": self.published,
+            "raw_value_samples_per_epoch": self.epoch_raw,
             "stalled": stalled,
             "rounds": round_index,
             # every non-root block is referenced by its parent exactly once
             "reference_audit": {
-                "non_root_blocks": non_root_blocks,
-                "child_references": child_references,
+                "non_root_blocks": self.non_root_blocks,
+                "child_references": self.child_references,
             },
         }
         return report
+
+    def _round(self, round_index: int, nonce: bytes, t0: float) -> dict | None:
+        """Re-shard the miners, then fill and mine each level from the leaves up.
+
+        Returns None once the root is mined, or where the round stalled: the
+        first shard no miner works on.
+        """
+        cfg = self.cfg
+        num_levels = cfg.num_levels
+        self._drain_arrivals(self.t)
+        # miners re-shard every round under the current global nonce; a
+        # miner's hashrate counts at its leaf and at every shard above it
+        hashrate = [0.0] * len(self.coords)
+        peer_ids = [m.peer_id for m in cfg.miners]
+        for miner, leaf in zip(cfg.miners, shard_indices(num_levels - 1, peer_ids, nonce)):
+            c = 2 ** (num_levels - 1) - 1 + leaf
+            hashrate[c] += miner.hashrate
+            while c:
+                c = (c - 1) // 2
+                hashrate[c] += miner.hashrate
+        for level in range(num_levels - 1, -1, -1):
+            # transactions re-shard too, each only if its level's fill reaches it
+            shard_cap = max(cfg.min_cap_bytes, self.caps[level] // 2**level)
+            fills, self.mempool[level] = take_by_fee_rate(self.mempool[level], shard_cap, level, nonce)
+            nominal = self.total_hashrate / 2**level
+            for shard, chosen in enumerate(fills):
+                c = 2**level - 1 + shard
+                if hashrate[c] == 0.0:
+                    return {"round": round_index, "shard": [level, shard]}
+                self._mine_shard(c, chosen, hashrate[c] / nominal, nonce, t0, round_index)
+            self._evict(self.mempool[level], self.pool_limits[level])
+        return None
+
+    def _mine_shard(self, c: int, chosen: list[MempoolEntry], alpha: float, nonce: bytes, t0: float,
+                    round_index: int) -> None:
+        """Mine shard ``c``'s block of the round on ``chosen`` and accept it.
+
+        A leaf starts at the round's start ``t0``, a parent once both its
+        children's blocks of the round have reached it; its header folds
+        their carried sums into its own.
+        """
+        cfg = self.cfg
+        num_levels = cfg.num_levels
+        level, shard = self.coords[c]
+        last = self.last
+        bits = cfg.header_bits + sum(e.size_bits for e in chosen)
+        if level == num_levels - 1:
+            start, kids = t0, ()
+            child_sum, beta_sums, bits_sums = 0.0, [0.0] * num_levels, [0.0] * num_levels
+        else:
+            kids = (last[2 * c + 1], last[2 * c + 2])
+            start = max(k.mined_at + propagation_delay(k.size_bits // 8, cfg) for k in kids)
+            left, right = (k.carried for k in kids)
+            child_sum = left.subtree_sum + right.subtree_sum
+            beta_sums = [a + b for a, b in zip(left.beta_level_sums, right.beta_level_sums)]
+            bits_sums = [a + b for a, b in zip(left.bits_level_sums, right.bits_level_sums)]
+        dt = sample_mining_time(self.rng, 2**level * self.eta_applied[level], bits, alpha)
+        betas = [e.tx.value / e.tx.size_bits for e in chosen]
+        block_beta = sum(betas) / len(betas) if betas else 0.0
+        value_sample = block_beta * bits
+        self.raw_value_samples[c].append(value_sample)
+        # the window averages continue those the shard's previous block carried
+        i = round_index % cfg.retarget_window
+        prev = last[c].carried if last[c] else None
+        value_avg = recurrent_average(prev.value_avg if prev else 0.0, i, value_sample)
+        beta_sums[level] = recurrent_average(prev.beta_level_sums[level] if prev else 0.0, i, block_beta)
+        bits_sums[level] = recurrent_average(prev.bits_level_sums[level] if prev else 0.0, i, float(bits))
+        child_refs = tuple(k.digest() for k in kids)
+        block = self._block(level, shard, round_index, self._parent_ref(c), chosen, start + dt, bits, child_refs)
+        block.carried = CarriedValues(
+            value_avg=value_avg,
+            subtree_sum=value_avg + child_sum,
+            beta_level_sums=tuple(beta_sums),
+            bits_level_sums=tuple(bits_sums),
+            nonce=nonce_step(self._random_id(), *(k.carried.nonce for k in kids)),
+        )
+        self._accept(block, chosen, dt, nonce=nonce, check_shard=True, expected_carried=block.carried)
+        last[c] = block
+        self.child_references += len(child_refs)
+        if level:
+            self.non_root_blocks += 1
+
+    def _retarget_tree(self, round_index: int) -> None:
+        """Publish the calibration the root's header reduced over the window, and install it."""
+        cfg = self.cfg
+        root = self.last[0].carried
+        c_pub = cfg.target_time * SATOSHI_PER_BTC / root.subtree_sum
+        mean_betas = [beta / 2**l for l, beta in enumerate(root.beta_level_sums)]
+        eta_pub = [c_pub * beta / SATOSHI_PER_BTC for beta in mean_betas]
+        eta_pub = [eta if eta > 0 else formula for eta, formula in zip(eta_pub, self.eta_formula)]
+        avg_bits = list(root.bits_level_sums)
+        realized = statistics.fmean(self.window_period_times)
+        self.published.append(
+            {
+                "round": round_index,
+                "c_eta": c_pub,
+                "eta": eta_pub,
+                "subtree_sum": root.subtree_sum,
+                "avg_level_bits": avg_bits,
+            }
+        )
+        self.epoch_raw.append({f"{l},{s}": samples for (l, s), samples in zip(self.coords, self.raw_value_samples)})
+        self.raw_value_samples = [[] for _ in self.coords]
+        self._update_gain(realized)
+        self._install_schedule(c_pub, eta_pub, avg_bits, realized, [beta or None for beta in mean_betas])
+        self._reset_window()
 
 
 # ---------------------------------------------------------------------------
@@ -828,13 +826,12 @@ class _TreeRun(_Run):
 # ---------------------------------------------------------------------------
 
 
-class _ConcurrentRun(_Run):
+class _ConcurrentRun(_ShardedRun):
     """Every (level, shard) chain mines continuously at its schedule cadence;
     parents batch-reference all not-yet-referenced child blocks.
 
-    Per-chain state sits in lists indexed in heap order: chain ``c = 2**l - 1
-    + s`` is (level l, shard s), and its children are chains ``2c + 1`` and
-    ``2c + 2``.
+    Chain ``c`` is shard ``c`` of the heap-ordered tree; its per-chain state
+    sits in lists indexed by ``c``.
 
     Latencies are folded as they become known: a transaction's inclusion
     latency when its block is mined, and its root-path latency when a level-0
@@ -847,14 +844,11 @@ class _ConcurrentRun(_Run):
     def run(self) -> SimReport:
         cfg = self.cfg
         num_levels = cfg.num_levels
-        chains = [(l, s) for l in range(num_levels) for s in range(2**l)]
-        self.chain_level = [l for l, _ in chains]
+        chains = self.coords
         self.chain_mempool: list[list[MempoolEntry]] = [[] for _ in chains]
         self.unreferenced: list[list[bytes]] = [[] for _ in chains]
-        self.chain_tip = [b"\x00" * 32] * len(chains)
         self.chain_dt_sum = [0.0] * len(chains)
         self.chain_blocks = [0] * len(chains)
-        self.chain_last = [0.0] * len(chains)
         # every child reference mined, as 32 digest bytes each
         self.reference_log = bytearray()
         self.root_digests: set[bytes] = set()
@@ -863,12 +857,14 @@ class _ConcurrentRun(_Run):
         self.inclusion = [array("d") for _ in range(num_levels)]
         self.rootpath = [array("d") for _ in range(num_levels)]
         if cfg.chain_target_times is not None:
-            self.cadence = cadence = list(cfg.chain_target_times)
+            cadence = list(cfg.chain_target_times)
         else:
-            self.cadence = cadence = list(self.expected_times)
+            cadence = list(self.expected_times)
             check_concurrent_blocks(cfg.duration, cadence)
+        # the cadence is fixed for the run, and with it each root block's reward split
+        self.reward_split = reward_split_tree(cadence, num_levels, cfg.block_reward_btc)
         self.chain_pool_limit = [max(32, self.pool_limits[l] // 2**l) for l in range(num_levels)]
-        chain_rate = [1.0 / cadence[l] for l in self.chain_level]
+        chain_rate = [1.0 / cadence[l] for l, _ in chains]
         expovariate = self.rng.expovariate
         heap = [(expovariate(chain_rate[c]), c, c) for c in range(len(chains))]
         heapq.heapify(heap)
@@ -966,7 +962,7 @@ class _ConcurrentRun(_Run):
     def _mine(self, c: int, now: float, sweep: bool) -> None:
         """Mine chain ``c``'s next block at ``now`` and accept it."""
         cfg = self.cfg
-        level = self.chain_level[c]
+        level, shard = self.coords[c]
         pool = self.chain_mempool[c]
         bits = cfg.header_bits
         if pool:
@@ -984,12 +980,12 @@ class _ConcurrentRun(_Run):
                     take = len(batch) if cfg.max_child_batch is None else cfg.max_child_batch
                     refs += batch[:take]
                     del batch[:take]
-        dt = now - self.chain_last[c]
-        block = self._block(
-            level, c + 1 - 2**level, self.chain_blocks[c], self.chain_tip[c], chosen, now, bits, tuple(refs)
-        )
+        prev = self.last[c]
+        dt = now if prev is None else now - prev.mined_at
+        block = self._block(level, shard, self.chain_blocks[c], self._parent_ref(c), chosen, now, bits, tuple(refs))
         self._accept(block, chosen, dt, nonce=None, check_shard=True)
-        self.chain_tip[c] = digest = block.digest()
+        self.last[c] = block
+        digest = block.digest()
         self.reference_log += b"".join(refs)
         arrivals = array("d", [e.arrival for e in chosen]) if chosen else ()
         if arrivals:
@@ -1001,11 +997,10 @@ class _ConcurrentRun(_Run):
         if not sweep:
             self.chain_dt_sum[c] += dt
             self.chain_blocks[c] += 1
-        self.chain_last[c] = now
         if not c:
             self.root_digests.add(digest)
             self._settle(digest, now)
-            self._mint_shard_rewards(self.cadence, f"conc/{block.seq}/0")
+            self._mint_shard_rewards(self.reward_split, f"conc/{block.seq}/0")
 
 
 def summarize_latencies(values: array) -> dict | None:

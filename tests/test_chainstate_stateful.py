@@ -65,7 +65,6 @@ def snapshot(state):
         list(state._bucket_keys),
         dict(state._entries),
         None if state._starts is None else list(state._starts),
-        dict(state.tips),
         state.total_unspent,
         state.fees_collected,
         state.minted,

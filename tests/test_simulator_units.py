@@ -609,6 +609,17 @@ class TestCoords:
             with pytest.raises(ValueError, match="genesis_value_sat must be >= 1"):
                 small_config(genesis_value_sat=value)
         small_config(genesis_value_sat=1)
+        for value in (0, -1):
+            with pytest.raises(ValueError, match="max_child_batch must be >= 1"):
+                small_config(mode="concurrent", max_child_batch=value)
+        small_config(mode="concurrent", max_child_batch=1)
+        # only flat mode reads the broadcast policy
+        for mode, extra in (("hybrid", {}), ("tree", {"miners": equal_miners(4)}), ("concurrent", {})):
+            with pytest.raises(ValueError, match="broadcast only applies to flat mode"):
+                small_config(mode=mode, broadcast="per-subblock", **extra)
+        small_config(mode="flat", broadcast="per-subblock")
+        with pytest.raises(ValueError, match="unknown broadcast policy"):
+            small_config(mode="flat", broadcast="nope")
 
     def test_sharded_level_cap(self):
         """Tree and concurrent configs past the shard-map cap are refused at
