@@ -44,8 +44,15 @@ GOLDEN_CONCURRENT = (
     "tests/test_golden.py::test_canonical_json_digest[concurrent]",
     "tests/test_golden.py::test_path_digest[concurrent-4-levels]",
 )
+GOLDEN_TREE = (
+    "tests/test_golden.py::test_canonical_json_digest[tree]",
+    "tests/test_golden.py::test_path_digest[tree-4-levels]",
+)
+LINKS = f"{UNITS}::test_sharded_block_links_to_its_shards_last_block"
+LOADER = "tests/test_loader_equivalence.py"
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
 ENGINE = "src/hbsim/simulator/engine.py"
+DATAIO = "src/hbsim/dataio.py"
 
 
 @dataclass(frozen=True)
@@ -165,6 +172,48 @@ MUTANTS = (
         (f"{RUNS}::test_reference_audit_matches_set_oracle[colliding-batch-2]",),
     ),
     Mutant(
+        "tree-left-child-taken-twice",
+        ENGINE,
+        "            kids = (last[2 * c + 1], last[2 * c + 2])\n",
+        "            kids = (last[2 * c + 1], last[2 * c + 1])\n",
+        GOLDEN_TREE,
+    ),
+    Mutant(
+        "tree-hashrate-walks-to-the-wrong-parent",
+        ENGINE,
+        "                c = (c - 1) // 2\n",
+        "                c = c // 2\n",
+        (*GOLDEN_TREE, "tests/test_golden.py::test_path_digest[tree-unequal-miners]"),
+    ),
+    Mutant(
+        "tree-previous-averages-from-the-neighbour-block",
+        ENGINE,
+        "        prev = last[c].carried if last[c] else None\n",
+        "        prev = last[c - 1].carried if last[c - 1] else None\n",
+        GOLDEN_TREE,
+    ),
+    Mutant(
+        "tree-stall-names-the-heap-index",
+        ENGINE,
+        'return {"round": round_index, "shard": [level, shard]}',
+        'return {"round": round_index, "shard": [level, c]}',
+        ("tests/test_golden.py::test_path_digest[tree-stall]",),
+    ),
+    Mutant(
+        "parent-ref-always-zero",
+        ENGINE,
+        '        return b"\\x00" * 32 if last is None else last.digest()\n',
+        '        return b"\\x00" * 32\n',
+        (LINKS,),
+    ),
+    Mutant(
+        "concurrent-interval-from-run-start",
+        ENGINE,
+        "        dt = now if prev is None else now - prev.mined_at\n",
+        "        dt = now\n",
+        GOLDEN_CONCURRENT,
+    ),
+    Mutant(
         "median-without-two-middle-average",
         ENGINE,
         '"median": at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2,',
@@ -177,6 +226,34 @@ MUTANTS = (
         '"p10": at(int(0.1 * (n - 1))),',
         '"p10": at(int(0.1 * n)),',
         (f"{UNITS}::TestSummarizeLatencies::test_matches_list_summary_on_random_counts",),
+    ),
+    Mutant(
+        "txid-offsets-restart-per-chunk",
+        DATAIO,
+        "            offsets.append(txids.rows + np.cumsum(lengths), expected + 1)\n",
+        "            offsets.append(np.cumsum(lengths), expected + 1)\n",
+        (f"{LOADER}::test_load_matches_oracle",),
+    ),
+    Mutant(
+        "chunk-beta-reversed",
+        DATAIO,
+        "np.divide(value, 8 * size, out=",
+        "np.divide(value[::-1], 8 * size[::-1], out=",
+        (f"{LOADER}::test_load_matches_oracle",),
+    ),
+    Mutant(
+        "column-grows-without-the-copy",
+        DATAIO,
+        "            grown[: self.rows] = self.buffer[: self.rows]\n",
+        "",
+        (f"{LOADER}::test_pipe_loads_like_the_file",),
+    ),
+    Mutant(
+        "tell-on-a-pipe",
+        DATAIO,
+        "fh.buffer.tell() * 9 // 8 if seekable else 0",
+        "fh.buffer.tell() * 9 // 8",
+        (f"{LOADER}::test_pipe_loads_like_the_file",),
     ),
 )
 

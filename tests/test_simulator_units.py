@@ -302,6 +302,31 @@ class TestMineLevel:
             assert block.parent_ref == before.digest()
 
 
+@pytest.mark.parametrize(
+    "mode, extra",
+    [("tree", {"miners": equal_miners(48)}), ("concurrent", {"chain_target_times": (429.0, 124.0, 44.5)})],
+)
+def test_sharded_block_links_to_its_shards_last_block(monkeypatch, mode, extra):
+    """In the sharded modes a block's parent ref is the digest of the last
+    block accepted at its (level, shard), and zeros for the shard's first."""
+    accepted = []
+    original = engine._Run._accept
+
+    def spy(self, block, *args, **kwargs):
+        original(self, block, *args, **kwargs)
+        accepted.append(block)
+
+    monkeypatch.setattr(engine._Run, "_accept", spy)
+    engine.simulate(small_config(mode=mode, duration=600.0 * 8, **extra))
+    tips = {}
+    for block in accepted:
+        key = (block.level, block.shard)
+        assert block.parent_ref == tips.get(key, b"\x00" * 32)
+        tips[key] = block.digest()
+    assert len(tips) == 7
+    assert len(accepted) > 2 * len(tips)
+
+
 class TestChainState:
     def test_conservation_identity(self):
         state = ChainState()
