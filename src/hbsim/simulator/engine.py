@@ -676,6 +676,7 @@ class _TreeRun(_ShardedRun):
 
     def run(self) -> SimReport:
         cfg = self.cfg
+        self.peer_ids = [m.peer_id for m in cfg.miners]
         self.total_hashrate = sum(m.hashrate for m in cfg.miners)
         self.raw_value_samples: list[list[float]] = [[] for _ in self.coords]
         self.epoch_raw: list[dict] = []
@@ -726,8 +727,7 @@ class _TreeRun(_ShardedRun):
         # miners re-shard every round under the current global nonce; a
         # miner's hashrate counts at its leaf and at every shard above it
         hashrate = [0.0] * len(self.coords)
-        peer_ids = [m.peer_id for m in cfg.miners]
-        for miner, leaf in zip(cfg.miners, shard_indices(num_levels - 1, peer_ids, nonce)):
+        for miner, leaf in zip(cfg.miners, shard_indices(num_levels - 1, self.peer_ids, nonce)):
             c = 2 ** (num_levels - 1) - 1 + leaf
             hashrate[c] += miner.hashrate
             while c:
@@ -740,9 +740,10 @@ class _TreeRun(_ShardedRun):
             nominal = self.total_hashrate / 2**level
             for shard, chosen in enumerate(fills):
                 c = 2**level - 1 + shard
-                if hashrate[c] == 0.0:
+                alpha = hashrate[c] / nominal
+                if alpha == 0.0:
                     return {"round": round_index, "shard": [level, shard]}
-                self._mine_shard(c, chosen, hashrate[c] / nominal, nonce, t0, round_index)
+                self._mine_shard(c, chosen, alpha, nonce, t0, round_index)
             self._evict(self.mempool[level], self.pool_limits[level])
         return None
 
