@@ -51,6 +51,7 @@ GOLDEN_TREE = (
 LINKS = f"{UNITS}::test_sharded_block_links_to_its_shards_last_block"
 LOADER = "tests/test_loader_equivalence.py"
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
+CONFIG = "src/hbsim/simulator/config.py"
 ENGINE = "src/hbsim/simulator/engine.py"
 DATAIO = "src/hbsim/dataio.py"
 
@@ -109,9 +110,23 @@ MUTANTS = (
     ),
     Mutant(
         "zero-genesis-value-accepted",
-        "src/hbsim/simulator/config.py",
+        CONFIG,
         "        if self.genesis_value_sat < 1:\n",
         "        if self.genesis_value_sat < 0:\n",
+        (f"{UNITS}::TestCoords::test_config_validation",),
+    ),
+    Mutant(
+        "zero-child-batch-accepted",
+        CONFIG,
+        "self.max_child_batch is not None and self.max_child_batch < 1:",
+        "self.max_child_batch is not None and self.max_child_batch < 0:",
+        (f"{UNITS}::TestCoords::test_config_validation",),
+    ),
+    Mutant(
+        "broadcast-accepted-in-hybrid-mode",
+        CONFIG,
+        "            if self.mode != MODE_FLAT:\n",
+        "            if self.mode not in (MODE_FLAT, MODE_HYBRID):\n",
         (f"{UNITS}::TestCoords::test_config_validation",),
     ),
     Mutant(
