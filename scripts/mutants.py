@@ -49,6 +49,8 @@ GOLDEN_TREE = (
     "tests/test_golden.py::test_path_digest[tree-4-levels]",
 )
 LINKS = f"{UNITS}::test_sharded_block_links_to_its_shards_last_block"
+STREAM = "tests/test_arrival_stream.py"
+BY_HAND = f"{STREAM}::test_gaps_driven_by_hand"
 LOADER = "tests/test_loader_equivalence.py"
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
 CONFIG = "src/hbsim/simulator/config.py"
@@ -135,6 +137,55 @@ MUTANTS = (
         "                while r >= n:\n",
         "                while r > n:\n",
         (STATEFUL,),
+    ),
+    Mutant(
+        "above-phase-always-skips-a-bucket",
+        CHAINSTATE,
+        "            lo += keys[lo] == floor_key\n",
+        "            lo += 1\n",
+        (f"{UNITS}::TestChainState::test_pick_above_the_boundary_matches_reference[no-boundary-bucket]",),
+    ),
+    Mutant(
+        "stream-fee-rates-bound-once-per-run",
+        ENGINE,
+        "        while True:\n            fee_rates = self.fee_rates_sat\n",
+        "        fee_rates = self.fee_rates_sat\n        while True:\n",
+        (BY_HAND, f"{STREAM}::test_run_matches_reference[flat-fixed]"),
+    ),
+    Mutant(
+        "entry-stamped-with-the-next-arrival-time",
+        ENGINE,
+        "                    pools[level].append(MempoolEntry(tx, fee, seq, t))\n"
+        "                if timed:\n"
+        "                    # rng.expovariate(rate), written out\n"
+        "                    t += -log(1.0 - random_()) / rate\n",
+        "                if timed:\n"
+        "                    # rng.expovariate(rate), written out\n"
+        "                    t += -log(1.0 - random_()) / rate\n"
+        "                if input_ref is not None:\n"
+        "                    pools[level].append(MempoolEntry(tx, fee, seq, t))\n",
+        (BY_HAND, f"{STREAM}::test_run_matches_reference[concurrent]", *GOLDEN_CONCURRENT),
+    ),
+    Mutant(
+        "backlog-stamped-at-time-zero",
+        ENGINE,
+        "MempoolEntry(tx, fee, seq, t))",
+        "MempoolEntry(tx, fee, seq, t if timed else 0.0))",
+        (BY_HAND, f"{STREAM}::test_run_matches_reference[concurrent]", *GOLDEN_CONCURRENT),
+    ),
+    Mutant(
+        "preseed-draws-interarrival-times",
+        ENGINE,
+        "        counts, timed, until = range(preseed), False, math.inf\n",
+        "        counts, timed, until = range(preseed), True, math.inf\n",
+        (BY_HAND, "tests/test_golden.py::test_canonical_json_digest[flat]"),
+    ),
+    Mutant(
+        "skipped-arrival-not-counted",
+        ENGINE,
+        "                    skipped += 1\n",
+        "                    pass\n",
+        (f"{BY_HAND}[3]", f"{STREAM}::test_run_matches_reference[flat-empirical-starved]"),
     ),
     Mutant(
         "digest-drops-child-refs",

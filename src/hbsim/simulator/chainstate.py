@@ -216,7 +216,10 @@ class ChainState:
 
         One sample draws a position below the count ``n`` of outputs in the
         buckets from ``lo`` on and bisects the cached bucket starts (rebuilt
-        only after the registry changed) for the output there. The draw is
+        only after the registry changed) for the output there. Only one
+        bisect finds ``lo``: the phase above the boundary starts one bucket
+        later if the boundary bucket exists, found once the first phase
+        missed. The draw is
         ``rng.randrange(n)`` written out on ``getrandbits``: on the pinned
         CPython 3.11.7 it consumes exactly the words ``randrange`` does, as
         the stateful test (``tests/test_chainstate_stateful.py``) checks
@@ -241,7 +244,8 @@ class ChainState:
         bisect_right = bisect.bisect_right
         # first from the boundary bucket on, then strictly above it; with no
         # output from the boundary on, the boundary scan below finds none
-        for lo in (bisect.bisect_left(keys, floor_key), bisect.bisect_left(keys, floor_key + 1)):
+        lo = bisect.bisect_left(keys, floor_key)
+        for _phase in (0, 1):
             first = starts[lo]
             n = end - first
             if not n:
@@ -256,6 +260,9 @@ class ChainState:
                 output_id = buckets[keys[i]][pick - starts[i]]
                 if output_id not in excluded and entries[output_id] >= least:
                     return output_id
+            # a miss: the next phase starts past the boundary bucket, if
+            # keys[lo] (which exists, since n > 0) is that bucket
+            lo += keys[lo] == floor_key
         for output_id in buckets.get(floor_key, ()):
             if output_id not in excluded and entries[output_id] >= least:
                 return output_id

@@ -135,16 +135,18 @@ class MempoolEntry:
     """A pending transaction with its fee and arrival sequence number.
 
     ``sort_key`` orders by fee per bit, highest first, then by arrival.
-    Concurrent mode stamps ``arrival``, the arrival time its latencies are
-    measured from; the other modes leave it unset.
+    ``arrival`` is the arrival time (the preseeded backlog's is the first
+    arrival's); concurrent mode measures its latencies from it.
     """
 
     __slots__ = ("tx", "fee_sat", "seq", "size_bits", "sort_key", "arrival")
 
-    def __init__(self, tx: ExtendedTransaction | ArrivalTx, fee_sat: int, seq: int) -> None:
+    def __init__(self, tx: ExtendedTransaction | ArrivalTx, fee_sat: int, seq: int,
+                 arrival: float | None = None) -> None:
         self.tx = tx
         self.fee_sat = fee_sat
         self.seq = seq
+        self.arrival = arrival
         self.size_bits = size_bits = tx.size_bits
         self.sort_key = (-fee_sat / size_bits, seq)
 
@@ -232,8 +234,10 @@ class _Run:
         self.level_dt_sums = [0.0] * config.num_levels
         self.level_dt_counts = [0] * config.num_levels
         # start inside the cap-bound regime: the backlog exists from t=0
-        for _ in range(round(config.workload.rate * config.target_time * config.preseed_periods)):
-            self._generate_arrival()
+        self._arrivals = self._arrival_stream(
+            round(config.workload.rate * config.target_time * config.preseed_periods)
+        )
+        next(self._arrivals)
 
     # -- setup --------------------------------------------------------------
 
@@ -339,48 +343,92 @@ class _Run:
             lam=lam,
         )
         self.report.epochs.append(trace)
+        self.reward_split = self._reward_split()
+
+    def _reward_split(self) -> list | None:
+        """The block reward's split under the schedule just installed; None
+        where the mode does not mint it per period."""
+        return None
 
     # -- arrivals -------------------------------------------------------------
 
-    def _level_for(self, lg_beta: float) -> int:
-        level = 0
-        while level < self.cfg.num_levels - 1 and lg_beta < self.boundaries[level + 1]:
-            level += 1
-        return level
+    def _arrival_stream(self, preseed: int):
+        """Draw arrivals into the level pools, a gap at a time.
 
-    def _generate_arrival(self) -> int | None:
-        """Draw one arrival and append its entry to its level's pool.
+        The first ``next`` draws the preseeded backlog: ``preseed`` arrivals
+        by count, with no interarrival draws, each stamped with the first
+        arrival time. Each ``send(until)`` then draws every arrival due
+        before ``until``, each entry stamped with its arrival time.
 
-        Returns that level, or None when no input could fund the arrival.
+        One arrival draws, in this order: its value and size
+        (``draw_value_size``), whether its level is overridden and to which
+        level, its fee overpay, its input (``ChainState.pick_at_least``) and,
+        if an input funds it, its 256-bit id; then the time to the next
+        arrival. An arrival no input funds is counted as skipped. What does
+        not change during a run is bound here once; the fee rates are read
+        on every send, since a retarget replaces them. ``_next_arrival``,
+        ``seq``, ``txs_generated`` and ``txs_skipped`` are written back once
+        per send.
         """
         cfg = self.cfg
         spec = cfg.workload
-        value, size = draw_value_size(spec, self.rng)
-        overridden = (
-            spec.level_override_fraction > 0.0
-            and self.rng.random() < spec.level_override_fraction
-        )
-        if overridden:
-            level = self.rng.randrange(cfg.num_levels)
-        else:
-            level = self._level_for(math.log10(value / (8 * size)))
-        overpay = self.rng.uniform(1.0, cfg.fee_overpay_max)
-        fee = math.ceil(self.fee_rates_sat[level] * 8 * size * overpay)
-        self.txs_generated += 1
-        input_ref = self.state.pick_at_least(value + fee, self.rng, self.reserved)
-        if input_ref is None:
-            self.txs_skipped += 1
-            return None
-        self.reserved.add(input_ref)
-        tx = ArrivalTx(self._random_id(), value, size, input_ref, level if overridden else None)
-        self.seq += 1
-        self.mempool[level].append(MempoolEntry(tx, fee, self.seq))
-        return level
+        rng = self.rng
+        random_, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
+        draw, pick = draw_value_size, self.state.pick_at_least
+        reserved = self.reserved
+        reserve = reserved.add
+        pools = self.mempool
+        boundaries = self.boundaries
+        num_levels = cfg.num_levels
+        deepest = num_levels - 1
+        override = spec.level_override_fraction
+        rate = spec.rate
+        overpay_span = cfg.fee_overpay_max - 1.0
+        log, log10, ceil = math.log, math.log10, math.ceil
+        forever = itertools.repeat(None)
+        counts, timed, until = range(preseed), False, math.inf
+        while True:
+            fee_rates = self.fee_rates_sat
+            t = self._next_arrival
+            seq = self.seq
+            generated = skipped = 0
+            for _ in counts:
+                if t >= until:
+                    break
+                value, size = draw(spec, rng)
+                overridden = override > 0.0 and random_() < override
+                if overridden:
+                    level = randrange(num_levels)
+                else:
+                    lg_beta = log10(value / (8 * size))
+                    level = 0
+                    while level < deepest and lg_beta < boundaries[level + 1]:
+                        level += 1
+                # rng.uniform(1.0, cfg.fee_overpay_max), written out
+                fee = ceil(fee_rates[level] * 8 * size * (1.0 + overpay_span * random_()))
+                generated += 1
+                input_ref = pick(value + fee, rng, reserved)
+                if input_ref is None:
+                    skipped += 1
+                else:
+                    reserve(input_ref)
+                    seq += 1
+                    tx = ArrivalTx(getrandbits(256).to_bytes(32, "big"), value, size, input_ref,
+                                   level if overridden else None)
+                    pools[level].append(MempoolEntry(tx, fee, seq, t))
+                if timed:
+                    # rng.expovariate(rate), written out
+                    t += -log(1.0 - random_()) / rate
+            self._next_arrival = t
+            self.seq = seq
+            self.txs_generated += generated
+            self.txs_skipped += skipped
+            until = yield
+            counts, timed = forever, True
 
     def _drain_arrivals(self, until: float) -> None:
-        while self._next_arrival < until:
-            self._generate_arrival()
-            self._next_arrival += self.rng.expovariate(self.cfg.workload.rate)
+        """Draw every arrival due before ``until`` into the level pools."""
+        self._arrivals.send(until)
 
     def _evict(self, pool: list[MempoolEntry], limit: int) -> None:
         """Evict the lowest fee rates beyond ``limit`` entries, in place."""
@@ -494,13 +542,14 @@ class _Run:
         self._reset_window()
 
     def _mint_level_rewards(self, tag: str) -> None:
-        split = reward_split_flat(self.expected_times, self.cfg.block_reward_btc)
-        for level, amount in enumerate(split):
+        for level, amount in enumerate(self.reward_split):
             self.state.mint(reward_output_id(f"{tag}/{level}"), amount)
 
     # -- finish -------------------------------------------------------------
 
     def _finalize(self) -> SimReport:
+        # the stream's frame holds the run: closing it frees the run with its caller
+        self._arrivals.close()
         report = self.report
         report.sim_end_time = self.t
         report.txs_generated = self.txs_generated
@@ -566,6 +615,9 @@ class _Run:
 
 
 class _FlatRun(_Run):
+    def _reward_split(self) -> list[int]:
+        return reward_split_flat(self.expected_times, self.cfg.block_reward_btc)
+
     def run(self) -> SimReport:
         cfg = self.cfg
         top_ref = b"\x00" * 32
@@ -663,9 +715,9 @@ class _ShardedRun(_Run):
         last = self.last[c]
         return b"\x00" * 32 if last is None else last.digest()
 
-    def _mint_shard_rewards(self, split: list[list[int]], tag: str) -> None:
-        """Mint each shard its share of ``split``, a ``reward_split_tree``."""
-        for level, shares in enumerate(split):
+    def _mint_shard_rewards(self, tag: str) -> None:
+        """Mint each shard its share of ``reward_split``, a ``reward_split_tree``."""
+        for level, shares in enumerate(self.reward_split):
             for shard, amount in enumerate(shares):
                 self.state.mint(reward_output_id(f"{tag}/{level}/{shard}"), amount)
 
@@ -673,6 +725,9 @@ class _ShardedRun(_Run):
 class _TreeRun(_ShardedRun):
     """Synchronized tree: each round mines every shard bottom-up, folds the
     global nonce, and reduces the calibration sums through block headers."""
+
+    def _reward_split(self) -> list[list[int]]:
+        return reward_split_tree(self.expected_times, self.cfg.num_levels, self.cfg.block_reward_btc)
 
     def run(self) -> SimReport:
         cfg = self.cfg
@@ -695,8 +750,7 @@ class _TreeRun(_ShardedRun):
             root = self.last[0]
             nonce = root.carried.nonce
             self.t = root.mined_at + propagation_delay(root.size_bits // 8, cfg)
-            split = reward_split_tree(self.expected_times, cfg.num_levels, cfg.block_reward_btc)
-            self._mint_shard_rewards(split, f"tree/{round_index}")
+            self._mint_shard_rewards(f"tree/{round_index}")
             self._end_period(t0)
             round_index += 1
             if round_index % cfg.retarget_window == 0:
@@ -871,11 +925,6 @@ class _ConcurrentRun(_ShardedRun):
         heapq.heapify(heap)
         counter = len(chains)
 
-        # the preseeded backlog joins the chains with the first drawn arrival
-        self.backlog = [(level, entry) for level, pool in enumerate(self.mempool) for entry in pool]
-        for pool in self.mempool:
-            pool.clear()
-
         duration = cfg.duration
         while heap[0][0] < duration:
             now, _, c = heap[0]
@@ -931,21 +980,21 @@ class _ConcurrentRun(_ShardedRun):
         return report
 
     def _drain(self, until: float) -> None:
-        """Draw the arrivals due before ``until``, each routed straight to its chain."""
-        rate = self.cfg.workload.rate
-        while self._next_arrival < until:
-            arrival_time = self._next_arrival
-            level = self._generate_arrival()
-            self._next_arrival += self.rng.expovariate(rate)
-            if level is not None:
-                self._route(level, self.mempool[level].pop(), arrival_time)
-            for level, entry in self.backlog:
-                self._route(level, entry, arrival_time)
-            self.backlog = ()
+        """Draw the arrivals due before ``until`` and route each to its chain.
 
-    def _route(self, level: int, entry: MempoolEntry, arrival: float) -> None:
-        entry.arrival = arrival
-        self.chain_mempool[2**level - 1 + tx_shard_index(level, entry.tx)].append(entry)
+        The level pools hold only entries not yet routed, so the first drain
+        also routes the preseeded backlog. Entries are routed level by level,
+        not in arrival order; every chain pool is sorted by (fee rate, seq)
+        before any fill or eviction, so the order cannot matter.
+        """
+        self._drain_arrivals(until)
+        chain_mempool = self.chain_mempool
+        for level, pool in enumerate(self.mempool):
+            if pool:
+                first = 2**level - 1
+                for entry in pool:
+                    chain_mempool[first + tx_shard_index(level, entry.tx)].append(entry)
+                pool.clear()
 
     def _settle(self, digest: bytes, t_root: float) -> None:
         """Fold the root-path latencies of a level-0 block's unsettled subtree."""
@@ -1001,7 +1050,7 @@ class _ConcurrentRun(_ShardedRun):
         if not c:
             self.root_digests.add(digest)
             self._settle(digest, now)
-            self._mint_shard_rewards(self.reward_split, f"conc/{block.seq}/0")
+            self._mint_shard_rewards(f"conc/{block.seq}/0")
 
 
 def summarize_latencies(values: array) -> dict | None:

@@ -33,6 +33,7 @@ from hbsim.simulator import (
 )
 from hbsim.simulator import engine
 from conftest import make_tx
+from reference_sampler import two_walk_pick_at_least
 
 
 def small_config(**kw):
@@ -327,6 +328,27 @@ def test_sharded_block_links_to_its_shards_last_block(monkeypatch, mode, extra):
     assert len(accepted) > 2 * len(tips)
 
 
+@pytest.mark.parametrize(
+    "mode, split, extra",
+    [("flat", "reward_split_flat", {}), ("tree", "reward_split_tree", {"miners": equal_miners(48)})],
+)
+def test_reward_split_once_per_installed_schedule(monkeypatch, mode, split, extra):
+    """Flat and tree mode split the block reward once per schedule they
+    install, not once per period."""
+    calls = []
+    original = getattr(engine, split)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, split, counted)
+    report = engine.simulate(small_config(mode=mode, duration=600.0 * 40, retarget_window=8, **extra))
+    assert len(report.epochs) >= 3
+    assert len(report.superblock_times) > 2 * len(report.epochs)
+    assert len(calls) == len(report.epochs)
+
+
 class TestChainState:
     def test_conservation_identity(self):
         state = ChainState()
@@ -351,6 +373,30 @@ class TestChainState:
         state.inject_genesis(b"\x01" * 32, 100)
         assert state.pick_at_least(101, rng, set()) is None
         assert state.pick_at_least(50, rng, {b"\x01" * 32}) is None
+
+    @pytest.mark.parametrize("boundary_values", [(), (513, 540, 600)], ids=["no-boundary-bucket", "too-small-boundary"])
+    def test_pick_above_the_boundary_matches_reference(self, boundary_values):
+        """A first phase that misses moves on past the boundary bucket when
+        there is one, and stays put when there is none: the picks and the
+        generator states match the two-walk reference either way."""
+        state = ChainState()
+        for i, value in enumerate(boundary_values):
+            state.inject_genesis(b"b" + i.to_bytes(31, "big"), value)
+        crowd = [b"c" + i.to_bytes(31, "big") for i in range(20)]
+        for i, output_id in enumerate(crowd):
+            state.inject_genesis(output_id, 2048 + i)  # bucket 12, every one excluded
+        for i in range(2):
+            state.inject_genesis(b"d" + i.to_bytes(31, "big"), 2**20 + i)  # bucket 21
+        needed = 700 if boundary_values else 300
+        excluded = set(crowd)
+        picks = []
+        for seed in range(20):
+            rng, reference = random.Random(seed), random.Random(seed)
+            got = state.pick_at_least(needed, rng, excluded)
+            assert got == two_walk_pick_at_least(state, needed, reference, excluded)
+            assert rng.getstate() == reference.getstate()
+            picks.append(got)
+        assert any(picks), "some picks find an input"
 
     def test_duplicate_output_id_rejected(self):
         state = ChainState()
