@@ -155,23 +155,51 @@ MUTANTS = (
     Mutant(
         "entry-stamped-with-the-next-arrival-time",
         ENGINE,
-        "                    pools[level].append(MempoolEntry(tx, fee, seq, t))\n"
+        "                    pools[level].append(ArrivalTx(getrandbits(256).to_bytes(32, \"big\"), value, size, input_ref,\n"
+        "                                                  fee, seq, t, level if overridden else None))\n"
         "                if timed:\n"
         "                    # rng.expovariate(rate), written out\n"
         "                    t += -log(1.0 - random_()) / rate\n",
+        "                    tx_id = getrandbits(256).to_bytes(32, \"big\")\n"
         "                if timed:\n"
         "                    # rng.expovariate(rate), written out\n"
         "                    t += -log(1.0 - random_()) / rate\n"
         "                if input_ref is not None:\n"
-        "                    pools[level].append(MempoolEntry(tx, fee, seq, t))\n",
+        "                    pools[level].append(ArrivalTx(tx_id, value, size, input_ref,\n"
+        "                                                  fee, seq, t, level if overridden else None))\n",
         (BY_HAND, f"{STREAM}::test_run_matches_reference[concurrent]", *GOLDEN_CONCURRENT),
     ),
     Mutant(
         "backlog-stamped-at-time-zero",
         ENGINE,
-        "MempoolEntry(tx, fee, seq, t))",
-        "MempoolEntry(tx, fee, seq, t if timed else 0.0))",
+        "fee, seq, t, level if overridden else None))",
+        "fee, seq, t if timed else 0.0, level if overridden else None))",
         (BY_HAND, f"{STREAM}::test_run_matches_reference[concurrent]", *GOLDEN_CONCURRENT),
+    ),
+    Mutant(
+        "pool-order-without-seq",
+        ENGINE,
+        '_pool_order = operator.attrgetter("neg_rate", "seq")\n',
+        '_pool_order = operator.attrgetter("neg_rate")\n',
+        (f"{UNITS}::TestTakeByFeeRate::test_fee_ties_break_by_arrival",),
+    ),
+    Mutant(
+        "stored-rate-sign-flipped",
+        ENGINE,
+        "        self.neg_rate = -fee_sat / (8 * size_bytes)\n",
+        "        self.neg_rate = fee_sat / (8 * size_bytes)\n",
+        (
+            f"{UNITS}::TestTakeByFeeRate::test_matches_sort_then_cut_oracle",
+            f"{UNITS}::test_evict_releases_the_evicted_inputs",
+            "tests/test_golden.py::test_canonical_json_digest[flat]",
+        ),
+    ),
+    Mutant(
+        "evict-keeps-the-evicted-inputs-reserved",
+        ENGINE,
+        "        self.reserved.difference_update([tx.input_ref for tx in pool[limit:]])\n",
+        "",
+        (f"{UNITS}::test_evict_releases_the_evicted_inputs",),
     ),
     Mutant(
         "preseed-draws-interarrival-times",

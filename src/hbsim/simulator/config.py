@@ -150,6 +150,14 @@ class SimConfig:
             raise ValueError("cap_fill_ratio must be positive")
         if self.mempool_depth_blocks < 1.0:
             raise ValueError("mempool_depth_blocks must be >= 1")
+        if self.header_bytes < 1 or self.min_cap_bytes < 1:
+            raise ValueError("header_bytes and min_cap_bytes must be >= 1")
+        if self.propagation_ms_per_byte < 0.0 or self.propagation_floor_ms < 0.0:
+            raise ValueError("propagation_ms_per_byte and propagation_floor_ms must be >= 0")
+        if not 0.0 < self.timing_gain_bounds[0] <= self.timing_gain_bounds[1]:
+            raise ValueError("timing_gain_bounds must be (lo, hi) with 0 < lo <= hi")
+        if self.preseed_periods < 0.0:
+            raise ValueError("preseed_periods must be >= 0")
         if self.chain_target_times is not None:
             if self.mode != MODE_CONCURRENT:
                 raise ValueError("chain_target_times only applies to concurrent mode")

@@ -95,7 +95,12 @@ def propagation_delay(size_bytes: int, config: SimConfig) -> float:
 
 
 class ArrivalTx:
-    """A transaction drawn by the engine's arrival path.
+    """A pending transaction with its fee: the one record from arrival to block.
+
+    Pools, fills and ``SubBlock.txs`` hold it. ``arrival`` is the arrival
+    time (the preseeded backlog's is the first arrival's); concurrent mode
+    measures latencies from it. ``neg_rate`` is the fee per bit negated:
+    pools order by ``(neg_rate, seq)``, fee per bit descending, ties by seq.
 
     It has the attributes of :class:`~hbsim.core.ExtendedTransaction` that
     the engine, ``validate_block``, ``apply_block``, the shard helpers and
@@ -108,19 +113,23 @@ class ArrivalTx:
     below the root, and (in sharded modes) the shard of each input.
     """
 
-    __slots__ = ("id", "value", "size_bytes", "input_ref", "requested_level")
+    __slots__ = ("id", "value", "size_bytes", "input_ref", "requested_level", "fee_sat", "seq", "arrival", "neg_rate")
 
     lam = 1.0
     eta = None
     extra_input_refs = ()
 
-    def __init__(self, id: bytes, value: int, size_bytes: int, input_ref: bytes,
-                 requested_level: int | None = None) -> None:
+    def __init__(self, id: bytes, value: int, size_bytes: int, input_ref: bytes, fee_sat: int, seq: int,
+                 arrival: float | None = None, requested_level: int | None = None) -> None:
         self.id = id
         self.value = value
         self.size_bytes = size_bytes
         self.input_ref = input_ref
         self.requested_level = requested_level
+        self.fee_sat = fee_sat
+        self.seq = seq
+        self.arrival = arrival
+        self.neg_rate = -fee_sat / (8 * size_bytes)
 
     @property
     def size_bits(self) -> int:
@@ -131,48 +140,33 @@ class ArrivalTx:
         return 1 if self.input_ref is not None else 0
 
 
-class MempoolEntry:
-    """A pending transaction with its fee and arrival sequence number.
-
-    ``sort_key`` orders by fee per bit, highest first, then by arrival.
-    ``arrival`` is the arrival time (the preseeded backlog's is the first
-    arrival's); concurrent mode measures its latencies from it.
-    """
-
-    __slots__ = ("tx", "fee_sat", "seq", "size_bits", "sort_key", "arrival")
-
-    def __init__(self, tx: ExtendedTransaction | ArrivalTx, fee_sat: int, seq: int,
-                 arrival: float | None = None) -> None:
-        self.tx = tx
-        self.fee_sat = fee_sat
-        self.seq = seq
-        self.arrival = arrival
-        self.size_bits = size_bits = tx.size_bits
-        self.sort_key = (-fee_sat / size_bits, seq)
+_pool_order = operator.attrgetter("neg_rate", "seq")
 
 
 def take_by_fee_rate(
-    entries: list[MempoolEntry], cap_bytes: int, level: int = 0, nonce: bytes | None = None
-) -> tuple[list[list[MempoolEntry]], list[MempoolEntry]]:
+    entries: list[ArrivalTx], cap_bytes: int, level: int = 0, nonce: bytes | None = None
+) -> tuple[list[list[ArrivalTx]], list[ArrivalTx]]:
     """Greedy fill of each shard of ``level``: fee per bit descending until its next entry would overflow.
 
-    Returns ``(chosen, rest)``, ``chosen`` holding one list per shard. All
-    shards fill in one walk that hashes each entry's shard under ``nonce``
-    only on reaching it. A shard stops at its own first overflow; once all
-    have stopped, the entries not yet walked join ``rest`` unhashed. Level 0
-    is one shard and hashes nothing: its fill is a prefix of the sorted pool.
+    Sorts ``entries`` in place; ties in fee per bit break by ``seq``, on any
+    input order. Returns ``(chosen, rest)``, ``chosen`` holding one list per
+    shard. All shards fill in one walk that hashes each entry's shard under
+    ``nonce`` only on reaching it. A shard stops at its own first overflow;
+    once all have stopped, the entries not yet walked join ``rest`` unhashed.
+    Level 0 is one shard and hashes nothing: its fill is a prefix of the
+    sorted pool.
     """
-    entries.sort(key=operator.attrgetter("sort_key"))
+    entries.sort(key=_pool_order)
     walk = iter(entries)
-    shards = tx_shard_indices(level, map(operator.attrgetter("tx"), entries), nonce) if level else itertools.repeat(0)
-    chosen: list[list[MempoolEntry]] = [[] for _ in range(2**level)]
+    shards = tx_shard_indices(level, entries, nonce) if level else itertools.repeat(0)
+    chosen: list[list[ArrivalTx]] = [[] for _ in range(2**level)]
     room: list[int | None] = [cap_bytes] * len(chosen)  # None once the shard has stopped
     filling = len(chosen)
-    rest: list[MempoolEntry] = []
+    rest: list[ArrivalTx] = []
     for entry, shard in zip(walk, shards):
         left = room[shard]
         if left is not None:
-            size = entry.tx.size_bytes
+            size = entry.size_bytes
             if size <= left:
                 chosen[shard].append(entry)
                 room[shard] = left - size
@@ -211,7 +205,7 @@ class _Run:
         self.state = ChainState()
         self.t = 0.0
         self.seq = 0
-        self.mempool: list[list[MempoolEntry]] = [[] for _ in range(config.num_levels)]
+        self.mempool: list[list[ArrivalTx]] = [[] for _ in range(config.num_levels)]
         self.reserved: set[bytes] = set()
         self.txs_generated = 0
         self.txs_confirmed = 0
@@ -413,9 +407,8 @@ class _Run:
                 else:
                     reserve(input_ref)
                     seq += 1
-                    tx = ArrivalTx(getrandbits(256).to_bytes(32, "big"), value, size, input_ref,
-                                   level if overridden else None)
-                    pools[level].append(MempoolEntry(tx, fee, seq, t))
+                    pools[level].append(ArrivalTx(getrandbits(256).to_bytes(32, "big"), value, size, input_ref,
+                                                  fee, seq, t, level if overridden else None))
                 if timed:
                     # rng.expovariate(rate), written out
                     t += -log(1.0 - random_()) / rate
@@ -430,28 +423,27 @@ class _Run:
         """Draw every arrival due before ``until`` into the level pools."""
         self._arrivals.send(until)
 
-    def _evict(self, pool: list[MempoolEntry], limit: int) -> None:
+    def _evict(self, pool: list[ArrivalTx], limit: int) -> None:
         """Evict the lowest fee rates beyond ``limit`` entries, in place."""
         if len(pool) <= limit:
             return
-        pool.sort(key=operator.attrgetter("sort_key"))
-        for entry in pool[limit:]:
-            self.reserved.discard(entry.tx.input_ref)
-            self.txs_evicted += 1
+        pool.sort(key=_pool_order)
+        self.reserved.difference_update([tx.input_ref for tx in pool[limit:]])
+        self.txs_evicted += len(pool) - limit
         del pool[limit:]
 
     # -- block helpers ----------------------------------------------------------
 
-    def _block(self, level: int, shard: int, seq: int, parent_ref: bytes, chosen: list[MempoolEntry],
+    def _block(self, level: int, shard: int, seq: int, parent_ref: bytes, chosen: list[ArrivalTx],
                mined_at: float, bits: int, child_refs: tuple[bytes, ...] = ()) -> SubBlock:
-        txs, fees = tuple([e.tx for e in chosen]), tuple([e.fee_sat for e in chosen])
-        return SubBlock(level, shard, seq, parent_ref, child_refs, txs, fees, mined_at, bits)
+        fees = tuple([tx.fee_sat for tx in chosen])
+        return SubBlock(level, shard, seq, parent_ref, child_refs, tuple(chosen), fees, mined_at, bits)
 
     def _mine_level(self, level: int, parent_ref: bytes, seq: int) -> SubBlock:
         """Fill one flat level by fee rate under its cap, mine it from now and accept it."""
         [chosen], self.mempool[level] = take_by_fee_rate(self.mempool[level], self.caps[level])
         self._evict(self.mempool[level], self.pool_limits[level])
-        bits = self.cfg.header_bits + sum(e.size_bits for e in chosen)
+        bits = self.cfg.header_bits + 8 * sum(tx.size_bytes for tx in chosen)
         dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
         self.t += dt
         block = self._block(level, 0, seq, parent_ref, chosen, self.t, bits)
@@ -479,7 +471,7 @@ class _Run:
             self.t += propagation_delay(batch_bytes, self.cfg)
         return parent_ref
 
-    def _accept(self, block: SubBlock, entries: list[MempoolEntry], dt: float, nonce=None,
+    def _accept(self, block: SubBlock, entries: list[ArrivalTx], dt: float, nonce=None,
                 check_shard=False, expected_carried=None) -> None:
         result = validate_block(
             block, self.state, nonce=nonce, check_shard=check_shard, expected_carried=expected_carried
@@ -491,8 +483,7 @@ class _Run:
         self.blocks_accepted += 1
         level = block.level
         window = self.windows[level]
-        for entry in entries:
-            tx = entry.tx
+        for tx in entries:
             window.beta_sum += tx.value / tx.size_bits
             self.reserved.discard(tx.input_ref)
         window.tx_count += len(entries)
@@ -801,7 +792,7 @@ class _TreeRun(_ShardedRun):
             self._evict(self.mempool[level], self.pool_limits[level])
         return None
 
-    def _mine_shard(self, c: int, chosen: list[MempoolEntry], alpha: float, nonce: bytes, t0: float,
+    def _mine_shard(self, c: int, chosen: list[ArrivalTx], alpha: float, nonce: bytes, t0: float,
                     round_index: int) -> None:
         """Mine shard ``c``'s block of the round on ``chosen`` and accept it.
 
@@ -813,7 +804,7 @@ class _TreeRun(_ShardedRun):
         num_levels = cfg.num_levels
         level, shard = self.coords[c]
         last = self.last
-        bits = cfg.header_bits + sum(e.size_bits for e in chosen)
+        bits = cfg.header_bits + 8 * sum(tx.size_bytes for tx in chosen)
         if level == num_levels - 1:
             start, kids = t0, ()
             child_sum, beta_sums, bits_sums = 0.0, [0.0] * num_levels, [0.0] * num_levels
@@ -825,7 +816,7 @@ class _TreeRun(_ShardedRun):
             beta_sums = [a + b for a, b in zip(left.beta_level_sums, right.beta_level_sums)]
             bits_sums = [a + b for a, b in zip(left.bits_level_sums, right.bits_level_sums)]
         dt = sample_mining_time(self.rng, 2**level * self.eta_applied[level], bits, alpha)
-        betas = [e.tx.value / e.tx.size_bits for e in chosen]
+        betas = [tx.value / tx.size_bits for tx in chosen]
         block_beta = sum(betas) / len(betas) if betas else 0.0
         value_sample = block_beta * bits
         self.raw_value_samples[c].append(value_sample)
@@ -900,7 +891,7 @@ class _ConcurrentRun(_ShardedRun):
         cfg = self.cfg
         num_levels = cfg.num_levels
         chains = self.coords
-        self.chain_mempool: list[list[MempoolEntry]] = [[] for _ in chains]
+        self.chain_mempool: list[list[ArrivalTx]] = [[] for _ in chains]
         self.unreferenced: list[list[bytes]] = [[] for _ in chains]
         self.chain_dt_sum = [0.0] * len(chains)
         self.chain_blocks = [0] * len(chains)
@@ -992,8 +983,8 @@ class _ConcurrentRun(_ShardedRun):
         for level, pool in enumerate(self.mempool):
             if pool:
                 first = 2**level - 1
-                for entry in pool:
-                    chain_mempool[first + tx_shard_index(level, entry.tx)].append(entry)
+                for tx in pool:
+                    chain_mempool[first + tx_shard_index(level, tx)].append(tx)
                 pool.clear()
 
     def _settle(self, digest: bytes, t_root: float) -> None:
@@ -1019,7 +1010,7 @@ class _ConcurrentRun(_ShardedRun):
             [chosen], rest = take_by_fee_rate(pool, cfg.max_subblock_bytes)
             self._evict(rest, self.chain_pool_limit[level])
             self.chain_mempool[c] = rest
-            bits += sum(e.size_bits for e in chosen)
+            bits += 8 * sum(tx.size_bytes for tx in chosen)
         else:
             chosen = []
         refs = []
@@ -1037,7 +1028,7 @@ class _ConcurrentRun(_ShardedRun):
         self.last[c] = block
         digest = block.digest()
         self.reference_log += b"".join(refs)
-        arrivals = array("d", [e.arrival for e in chosen]) if chosen else ()
+        arrivals = array("d", [tx.arrival for tx in chosen]) if chosen else ()
         if arrivals:
             self.inclusion[level].extend(now - arrival for arrival in arrivals)
         # a header-only block still links its children to the settling root

@@ -9,8 +9,10 @@ forever; the overridden drains do the drawing. ``ReferenceConcurrentRun``
 takes the preseeded backlog out of the level pools on its first drain, as
 ``_ConcurrentRun.run`` did at its start; nothing reads those pools before.
 
-Two additions, marked ``# added``, stamp the arrival time the stream now
-gives every entry. The old flat and tree drain left it unset, and the old
+The record each arrival builds is today's one pending record, an
+``ArrivalTx`` holding its fee and seq; the draws and their order are as
+they were. Two additions, marked ``# added``, stamp the arrival time the
+stream now gives every entry. The old flat and tree drain left it unset, and the old
 concurrent drain stamped the backlog with the first arrival time on routing
 it. Tests run an engine class and its reference side by side on one config
 and require the same entries, the same generator state and the same counters
@@ -23,7 +25,7 @@ import math
 
 from hbsim.dataio import draw_value_size
 from hbsim.simulator import engine
-from hbsim.simulator.engine import ArrivalTx, MempoolEntry
+from hbsim.simulator.engine import ArrivalTx
 from hbsim.sharding import tx_shard_index
 
 
@@ -68,9 +70,10 @@ class ReferenceArrivals:
             self.txs_skipped += 1
             return None
         self.reserved.add(input_ref)
-        tx = ArrivalTx(self._random_id(), value, size, input_ref, level if overridden else None)
+        tx = ArrivalTx(self._random_id(), value, size, input_ref, fee, self.seq + 1,
+                       requested_level=level if overridden else None)
         self.seq += 1
-        self.mempool[level].append(MempoolEntry(tx, fee, self.seq))
+        self.mempool[level].append(tx)
         return level
 
     def _drain_arrivals(self, until: float) -> None:
@@ -115,9 +118,9 @@ class ReferenceConcurrentRun(ReferenceArrivals, engine._ConcurrentRun):
                 self._route(level, entry, arrival_time)
             self.backlog = ()
 
-    def _route(self, level: int, entry: MempoolEntry, arrival: float) -> None:
+    def _route(self, level: int, entry: ArrivalTx, arrival: float) -> None:
         entry.arrival = arrival
-        self.chain_mempool[2**level - 1 + tx_shard_index(level, entry.tx)].append(entry)
+        self.chain_mempool[2**level - 1 + tx_shard_index(level, entry)].append(entry)
 
 
 REFERENCE_RUNS = {

@@ -15,9 +15,8 @@ from reference_arrivals import REFERENCE_RUNS
 
 
 def fields(entry):
-    tx = entry.tx
-    return (tx.id, tx.value, tx.size_bytes, tx.input_ref, tx.requested_level, entry.fee_sat, entry.seq,
-            entry.arrival)
+    return (entry.id, entry.value, entry.size_bytes, entry.input_ref, entry.requested_level, entry.fee_sat,
+            entry.seq, entry.arrival)
 
 
 def snapshot(run):

@@ -93,7 +93,10 @@ class ChainStateMachine(RuleBasedStateMachine):
             value = data.draw(st.integers(1, held - fee))
             record = data.draw(RECORDS)
             size = data.draw(st.integers(1, 900))
-            txs.append(record(id=self.fresh_id(), value=value, size_bytes=size, input_ref=ref))
+            if record is ArrivalTx:
+                txs.append(ArrivalTx(self.fresh_id(), value, size, ref, fee, 0))
+            else:
+                txs.append(ExtendedTransaction(id=self.fresh_id(), value=value, size_bytes=size, input_ref=ref))
             fees.append(fee)
         return txs, fees
 
@@ -175,7 +178,7 @@ class ChainStateMachine(RuleBasedStateMachine):
         level = 1 if kind == "multi_input_sharded" else 0
         if kind in ("missing", "spent"):
             ref = self.fresh_id() if kind == "missing" else data.draw(st.sampled_from(self.spent))
-            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), 1, 250, ref)], [0]
+            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), 1, 250, ref, 0, 0)], [0]
             others = unspent
         elif kind == "respend":
             ref = data.draw(st.sampled_from(unspent))
@@ -192,7 +195,7 @@ class ChainStateMachine(RuleBasedStateMachine):
             ref = data.draw(st.sampled_from(rich))
             held = self.state.unspent[ref]
             fee = data.draw(st.integers(MAX_FEE + 1, held - 1))
-            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), held - fee, 250, ref)], [fee]
+            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), held - fee, 250, ref, fee, 0)], [fee]
             others = [r for r in unspent if r != ref]
         else:
             ref = data.draw(st.sampled_from(unspent))
@@ -202,7 +205,7 @@ class ChainStateMachine(RuleBasedStateMachine):
                 value = data.draw(st.integers(max(1, held - fee + 1), held + 10))
             else:
                 fee, value = data.draw(st.integers(-held, -1)), 1
-            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), value, 250, ref)], [fee]
+            bad_txs, bad_fees = [ArrivalTx(self.fresh_id(), value, 250, ref, fee, 0)], [fee]
             others = [r for r in unspent if r != ref]
         # valid spends of other outputs ahead of the bad one
         prefix = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []

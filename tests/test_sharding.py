@@ -27,8 +27,8 @@ from hbsim.sharding import (
     tx_shard_index,
     tx_shard_indices,
 )
-from hbsim.simulator import MempoolEntry, take_by_fee_rate
-from conftest import make_tx
+from hbsim.simulator import take_by_fee_rate
+from conftest import make_record, make_tx
 
 
 def oracle_branch(identifier, level, nonce=None):
@@ -248,11 +248,11 @@ class TestShardIndex:
                 break
         # per shard one entry that fills the 100-byte cap and one that overflows it
         entries = [
-            MempoolEntry(tx=make_tx(10, 100, input_ref=refs[shard][k]), fee_sat=1000 - k, seq=2 * shard + k)
+            make_record(10, 100, 1000 - k, 2 * shard + k, input_ref=refs[shard][k])
             for shard in range(4)
             for k in range(2)
         ]
-        poisoned = MempoolEntry(tx=make_tx(10, 100), fee_sat=1, seq=99)
+        poisoned = make_record(10, 100, 1, 99)
         chosen, rest = take_by_fee_rate(entries + [poisoned], 100, 2, nonce)
         assert [[e.seq for e in c] for c in chosen] == [[0], [2], [4], [6]]
         assert sorted(e.seq for e in rest) == [1, 3, 5, 7, 99]

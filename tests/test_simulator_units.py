@@ -20,7 +20,6 @@ from hbsim.simulator import (
     E_DOUBLE_SPEND,
     E_MALFORMED_BLOCK,
     E_SHARD_MISMATCH,
-    MempoolEntry,
     SimConfig,
     SubBlock,
     apply_block,
@@ -32,7 +31,7 @@ from hbsim.simulator import (
     validate_block,
 )
 from hbsim.simulator import engine
-from conftest import make_tx
+from conftest import make_record, make_tx
 from reference_sampler import two_walk_pick_at_least
 
 
@@ -106,8 +105,8 @@ class TestPropagationDelay:
 def random_entries(rng, n):
     entries = []
     for i in range(n):
-        tx = make_tx(rng.randrange(1, 10**6), rng.randrange(100, 900), input_ref=b"\x01" * 32)
-        entries.append(MempoolEntry(tx=tx, fee_sat=rng.randrange(1, 10**5), seq=i))
+        value, size = rng.randrange(1, 10**6), rng.randrange(100, 900)
+        entries.append(make_record(value, size, rng.randrange(1, 10**5), i, input_ref=b"\x01" * 32))
     return entries
 
 
@@ -116,24 +115,22 @@ class TestTakeByFeeRate:
         for _ in range(50):
             entries = random_entries(rng, rng.randrange(1, 40))
             cap = rng.randrange(500, 20_000)
-            expected = sorted(entries, key=lambda e: (-e.fee_sat / e.tx.size_bits, e.seq))
+            expected = sorted(entries, key=lambda e: (-e.fee_sat / e.size_bits, e.seq))
             used = 0
             oracle = []
             for e in expected:
-                if used + e.tx.size_bytes > cap:
+                if used + e.size_bytes > cap:
                     break
                 oracle.append(e)
-                used += e.tx.size_bytes
+                used += e.size_bytes
             [chosen], rest = take_by_fee_rate(list(entries), cap)
-            assert [e.tx.id for e in chosen] == [e.tx.id for e in oracle]
+            assert [e.id for e in chosen] == [e.id for e in oracle]
             assert len(chosen) + len(rest) == len(entries)
 
     def test_fee_ties_break_by_arrival(self):
-        txa = make_tx(10, 100, input_ref=b"\x01" * 32)
-        txb = make_tx(10, 100, input_ref=b"\x02" * 32)
         entries = [
-            MempoolEntry(tx=txb, fee_sat=800, seq=2),
-            MempoolEntry(tx=txa, fee_sat=800, seq=1),
+            make_record(10, 100, 800, 2, input_ref=b"\x02" * 32),
+            make_record(10, 100, 800, 1, input_ref=b"\x01" * 32),
         ]
         [chosen], _ = take_by_fee_rate(entries, 10_000)
         assert [e.seq for e in chosen] == [1, 2]
@@ -203,16 +200,16 @@ class TestShardedFill:
     )
     def test_matches_grouped_sort_then_cut_oracle(self, level, nonce, rows, data):
         entries = [
-            MempoolEntry(tx=make_tx(1, size, input_ref=ref), fee_sat=rate * 8 * size, seq=i)
+            make_record(1, size, rate * 8 * size, i, input_ref=ref)
             for i, (rate, size, ref) in enumerate(rows)
         ]
         groups = [[] for _ in range(2**level)]
         for e in entries:
-            groups[tx_shard_index(level, e.tx, nonce)].append(e)
+            groups[tx_shard_index(level, e, nonce)].append(e)
         for group in groups:
-            group.sort(key=lambda e: (-e.fee_sat / e.tx.size_bits, e.seq))
+            group.sort(key=lambda e: (-e.fee_sat / e.size_bits, e.seq))
         # caps a fill meets exactly: the byte total of some shard's first k entries
-        exact = {sum(e.tx.size_bytes for e in g[:k]) for g in groups for k in range(1, len(g) + 1)}
+        exact = {sum(e.size_bytes for e in g[:k]) for g in groups for k in range(1, len(g) + 1)}
         caps = st.integers(0, 3000)
         if exact:
             caps = st.one_of(st.sampled_from(sorted(exact)), caps)
@@ -223,10 +220,10 @@ class TestShardedFill:
             used = 0
             oracle = []
             for e in group:
-                if used + e.tx.size_bytes > cap:
+                if used + e.size_bytes > cap:
                     break
                 oracle.append(e)
-                used += e.tx.size_bytes
+                used += e.size_bytes
             assert [e.seq for e in chosen[shard]] == [e.seq for e in oracle]
         taken = {id(e) for shard_chosen in chosen for e in shard_chosen}
         assert len(rest) == len({id(e) for e in rest})
@@ -256,7 +253,7 @@ class TestMineLevel:
             kept.append(run.mempool[level][0])
         for level in (2, 1, 0):
             block = run._mine_level(level, b"\x00" * 32, seq=0)
-            assert block.txs == (kept[level].tx,)
+            assert block.txs == (kept[level],)
             assert block.fees_sat == (kept[level].fee_sat,)
             assert block.size_bits == run.cfg.header_bits + kept[level].size_bits
             assert run.mempool[level] == []
@@ -326,6 +323,53 @@ def test_sharded_block_links_to_its_shards_last_block(monkeypatch, mode, extra):
         tips[key] = block.digest()
     assert len(tips) == 7
     assert len(accepted) > 2 * len(tips)
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("flat", {}),
+        ("tree", {"miners": equal_miners(48)}),
+        ("concurrent", {"chain_target_times": (429.0, 124.0, 44.5)}),
+    ],
+)
+def test_blocks_hold_the_pools_own_records(monkeypatch, mode, extra):
+    """Every mined block's ``txs`` are the very records its pool held, not copies or wrappers."""
+    pooled = {}
+    fills = []
+    original_take, original_accept = engine.take_by_fee_rate, engine._Run._accept
+
+    def take(entries, *args):
+        pooled.update((id(e), e) for e in entries)
+        return original_take(entries, *args)
+
+    def accept(self, block, entries, *args, **kwargs):
+        fills.append((block, list(entries)))
+        original_accept(self, block, entries, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "take_by_fee_rate", take)
+    monkeypatch.setattr(engine._Run, "_accept", accept)
+    report = engine.simulate(small_config(mode=mode, duration=600.0 * 8, **extra))
+    assert sum(len(block.txs) for block, _ in fills) == report.txs_confirmed > 0
+    for block, entries in fills:
+        assert len(block.txs) == len(entries)
+        assert all(tx is entry for tx, entry in zip(block.txs, entries))
+        assert all(pooled.get(id(tx)) is tx for tx in block.txs)
+
+
+def test_evict_releases_the_evicted_inputs():
+    """Eviction keeps the best fee rates and frees the inputs of the records it drops."""
+    run = engine._FlatRun(small_config())
+    pool = [record for level_pool in run.mempool for record in level_pool]
+    assert len(pool) > 4
+    assert {record.input_ref for record in pool} <= run.reserved
+    ranked = sorted(pool, key=lambda r: (-r.fee_sat / r.size_bits, r.seq))
+    evicted_before = run.txs_evicted
+    run._evict(pool, 4)
+    assert pool == ranked[:4]
+    assert run.txs_evicted - evicted_before == len(ranked) - 4
+    assert {record.input_ref for record in ranked[:4]} <= run.reserved
+    assert not {record.input_ref for record in ranked[4:]} & run.reserved
 
 
 @pytest.mark.parametrize(
@@ -479,8 +523,7 @@ class TestArrivalTx:
     def test_parity_with_extended_transaction(self):
         workload = WorkloadSpec(rate=0.1, lg_beta_mu=3.0, lg_beta_sigma=1.0, level_override_fraction=0.5)
         run = engine._FlatRun(small_config(workload=workload))
-        entries = [entry for pool in run.mempool for entry in pool]
-        records = [entry.tx for entry in entries]
+        records = [record for pool in run.mempool for record in pool]
         assert all(type(r) is engine.ArrivalTx for r in records)
         assert {r.requested_level is None for r in records} == {True, False}
         public = [
@@ -492,7 +535,7 @@ class TestArrivalTx:
             assert [getattr(record, f) for f in self.FIELDS] == [getattr(tx, f) for f in self.FIELDS]
             for level in range(4):
                 assert tx_shard_index(level, record) == tx_shard_index(level, tx)
-        fees = [entry.fee_sat for entry in entries]
+        fees = [record.fee_sat for record in records]
         from_records = block_at(0, 0, records, fees)
         from_public = block_at(0, 0, public, fees)
         assert from_records.size_bits == from_public.size_bits
@@ -691,6 +734,26 @@ class TestCoords:
         small_config(mode="flat", broadcast="per-subblock")
         with pytest.raises(ValueError, match="unknown broadcast policy"):
             small_config(mode="flat", broadcast="nope")
+        for value in (0, -80):
+            with pytest.raises(ValueError, match="header_bytes and min_cap_bytes must be >= 1"):
+                small_config(header_bytes=value)
+        small_config(header_bytes=1)
+        for field in ("propagation_ms_per_byte", "propagation_floor_ms"):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                small_config(**{field: -0.5})
+            small_config(**{field: 0.0})
+        for bounds in ((0.0, 20.0), (-1.0, 20.0), (5.0, 1.0)):
+            with pytest.raises(ValueError, match="0 < lo <= hi"):
+                small_config(timing_gain_bounds=bounds)
+        small_config(timing_gain_bounds=(1.0, 1.0))
+        for value in (-1, -0.25):
+            with pytest.raises(ValueError, match="preseed_periods must be >= 0"):
+                small_config(preseed_periods=value)
+        small_config(preseed_periods=0)
+        for value in (0, -1):
+            with pytest.raises(ValueError, match="header_bytes and min_cap_bytes must be >= 1"):
+                small_config(min_cap_bytes=value)
+        small_config(min_cap_bytes=1)
 
     def test_sharded_level_cap(self):
         """Tree and concurrent configs past the shard-map cap are refused at
