@@ -132,6 +132,20 @@ MUTANTS = (
         (f"{UNITS}::TestCoords::test_config_validation",),
     ),
     Mutant(
+        "zero-header-bytes-accepted",
+        CONFIG,
+        "        if self.header_bytes < 1 or self.min_cap_bytes < 1:\n",
+        "        if self.header_bytes < 0 or self.min_cap_bytes < 1:\n",
+        (f"{UNITS}::TestCoords::test_config_validation",),
+    ),
+    Mutant(
+        "equal-timing-gain-bounds-refused",
+        CONFIG,
+        "0.0 < self.timing_gain_bounds[0] <= self.timing_gain_bounds[1]",
+        "0.0 < self.timing_gain_bounds[0] < self.timing_gain_bounds[1]",
+        (f"{UNITS}::TestCoords::test_config_validation",),
+    ),
+    Mutant(
         "sampler-accepts-word-equal-to-range",
         CHAINSTATE,
         "                while r >= n:\n",

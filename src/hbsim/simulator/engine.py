@@ -447,7 +447,7 @@ class _Run:
         dt = sample_mining_time(self.rng, self.eta_applied[level], bits)
         self.t += dt
         block = self._block(level, 0, seq, parent_ref, chosen, self.t, bits)
-        self._accept(block, chosen, dt)
+        self._accept(block, dt)
         return block
 
     def _mine_levels(self, levels, parent_ref: bytes, seq: int, policy: str) -> bytes:
@@ -471,8 +471,7 @@ class _Run:
             self.t += propagation_delay(batch_bytes, self.cfg)
         return parent_ref
 
-    def _accept(self, block: SubBlock, entries: list[ArrivalTx], dt: float, nonce=None,
-                check_shard=False, expected_carried=None) -> None:
+    def _accept(self, block: SubBlock, dt: float, nonce=None, check_shard=False, expected_carried=None) -> None:
         result = validate_block(
             block, self.state, nonce=nonce, check_shard=check_shard, expected_carried=expected_carried
         )
@@ -483,11 +482,11 @@ class _Run:
         self.blocks_accepted += 1
         level = block.level
         window = self.windows[level]
-        for tx in entries:
+        for tx in block.txs:
             window.beta_sum += tx.value / tx.size_bits
             self.reserved.discard(tx.input_ref)
-        window.tx_count += len(entries)
-        self.txs_confirmed += len(entries)
+        window.tx_count += len(block.txs)
+        self.txs_confirmed += len(block.txs)
         window.block_bits += block.size_bits
         window.block_count += 1
         self.level_dt_sums[level] += dt
@@ -835,7 +834,7 @@ class _TreeRun(_ShardedRun):
             bits_level_sums=tuple(bits_sums),
             nonce=nonce_step(self._random_id(), *(k.carried.nonce for k in kids)),
         )
-        self._accept(block, chosen, dt, nonce=nonce, check_shard=True, expected_carried=block.carried)
+        self._accept(block, dt, nonce=nonce, check_shard=True, expected_carried=block.carried)
         last[c] = block
         self.child_references += len(child_refs)
         if level:
@@ -1024,7 +1023,7 @@ class _ConcurrentRun(_ShardedRun):
         prev = self.last[c]
         dt = now if prev is None else now - prev.mined_at
         block = self._block(level, shard, self.chain_blocks[c], self._parent_ref(c), chosen, now, bits, tuple(refs))
-        self._accept(block, chosen, dt, nonce=None, check_shard=True)
+        self._accept(block, dt, nonce=None, check_shard=True)
         self.last[c] = block
         digest = block.digest()
         self.reference_log += b"".join(refs)

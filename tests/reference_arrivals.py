@@ -9,10 +9,10 @@ forever; the overridden drains do the drawing. ``ReferenceConcurrentRun``
 takes the preseeded backlog out of the level pools on its first drain, as
 ``_ConcurrentRun.run`` did at its start; nothing reads those pools before.
 
-The record each arrival builds is today's one pending record, an
-``ArrivalTx`` holding its fee and seq; the draws and their order are as
-they were. Two additions, marked ``# added``, stamp the arrival time the
-stream now gives every entry. The old flat and tree drain left it unset, and the old
+Each arrival builds the engine's one pending record, an ``ArrivalTx``
+holding its fee and seq; the draws and their order are as they were. Two
+additions, marked ``# added``, stamp the arrival time the stream now gives
+every entry. The old flat and tree drain left it unset, and the old
 concurrent drain stamped the backlog with the first arrival time on routing
 it. Tests run an engine class and its reference side by side on one config
 and require the same entries, the same generator state and the same counters

@@ -336,25 +336,28 @@ def test_sharded_block_links_to_its_shards_last_block(monkeypatch, mode, extra):
 def test_blocks_hold_the_pools_own_records(monkeypatch, mode, extra):
     """Every mined block's ``txs`` are the very records its pool held, not copies or wrappers."""
     pooled = {}
-    fills = []
+    chosen = []
+    accepted = []
     original_take, original_accept = engine.take_by_fee_rate, engine._Run._accept
 
     def take(entries, *args):
         pooled.update((id(e), e) for e in entries)
-        return original_take(entries, *args)
+        fills, rest = original_take(entries, *args)
+        chosen.extend(e for fill in fills for e in fill)
+        return fills, rest
 
-    def accept(self, block, entries, *args, **kwargs):
-        fills.append((block, list(entries)))
-        original_accept(self, block, entries, *args, **kwargs)
+    def accept(self, block, *args, **kwargs):
+        accepted.append(block)
+        original_accept(self, block, *args, **kwargs)
 
     monkeypatch.setattr(engine, "take_by_fee_rate", take)
     monkeypatch.setattr(engine._Run, "_accept", accept)
     report = engine.simulate(small_config(mode=mode, duration=600.0 * 8, **extra))
-    assert sum(len(block.txs) for block, _ in fills) == report.txs_confirmed > 0
-    for block, entries in fills:
-        assert len(block.txs) == len(entries)
-        assert all(tx is entry for tx, entry in zip(block.txs, entries))
-        assert all(pooled.get(id(tx)) is tx for tx in block.txs)
+    mined = [tx for block in accepted for tx in block.txs]
+    assert len(mined) == report.txs_confirmed > 0
+    assert all(pooled.get(id(tx)) is tx for tx in mined)
+    # each block holds its fill: the chosen records, each mined once
+    assert {id(tx) for tx in mined} == {id(e) for e in chosen} and len(set(map(id, mined))) == len(mined)
 
 
 def test_evict_releases_the_evicted_inputs():
