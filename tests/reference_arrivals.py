@@ -70,10 +70,9 @@ class ReferenceArrivals:
             self.txs_skipped += 1
             return None
         self.reserved.add(input_ref)
-        tx = ArrivalTx(self._random_id(), value, size, input_ref, fee, self.seq + 1,
-                       requested_level=level if overridden else None)
         self.seq += 1
-        self.mempool[level].append(tx)
+        self.mempool[level].append(ArrivalTx(self._random_id(), value, size, input_ref, fee, self.seq,
+                                             requested_level=level if overridden else None))
         return level
 
     def _drain_arrivals(self, until: float) -> None:
