@@ -211,9 +211,39 @@ MUTANTS = (
     Mutant(
         "evict-keeps-the-evicted-inputs-reserved",
         ENGINE,
-        "        self.reserved.difference_update([tx.input_ref for tx in pool[limit:]])\n",
+        "        self.state.release([tx.input_ref for tx in pool[limit:]])\n",
         "",
         (f"{UNITS}::test_evict_releases_the_evicted_inputs",),
+    ),
+    Mutant(
+        "spend-keeps-the-reservation",
+        CHAINSTATE,
+        "        if output_id in self._reserved:\n"
+        "            self._reserved.remove(output_id)\n"
+        "            self._reserved_counts[key] -= 1\n",
+        "",
+        (STATEFUL,),
+    ),
+    Mutant(
+        "release-keeps-the-count",
+        CHAINSTATE,
+        "            counts[(entries[output_id] >> _POS_BITS).bit_length()] -= 1\n",
+        "",
+        (STATEFUL,),
+    ),
+    Mutant(
+        "scan-skipped-one-early",
+        CHAINSTATE,
+        "        if counts.get(floor_key, 0) < len(bucket := buckets.get(floor_key, ())):\n",
+        "        if counts.get(floor_key, 0) + 1 < len(bucket := buckets.get(floor_key, ())):\n",
+        (STATEFUL,),
+    ),
+    Mutant(
+        "pick-does-not-reserve",
+        CHAINSTATE,
+        "                    reserved.add(output_id)\n                    counts[key] += 1\n",
+        "",
+        (STATEFUL, "tests/test_golden.py::test_canonical_json_digest[flat]"),
     ),
     Mutant(
         "preseed-draws-interarrival-times",

@@ -236,10 +236,6 @@ class LevelStats:
     def beta_means(self) -> tuple[float | None, ...]:
         return tuple(s.beta_mean for s in self.levels)
 
-    @property
-    def bits_totals(self) -> tuple[int, ...]:
-        return tuple(s.bits_total for s in self.levels)
-
 
 @dataclass(frozen=True)
 class LogNormalFit:

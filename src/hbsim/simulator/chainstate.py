@@ -16,6 +16,11 @@ last output into the freed slot, and a sample compares packed entries against
 int and one bucket slot: 97 bytes at 100,000 outputs and 85 at 2**18
 (tracemalloc, the ids themselves not counted), where a second dict of
 positions beside the value map took 141 and 116.
+
+The registry alone owns reservation: ``pick_at_least`` reserves what it
+returns until ``release`` (eviction) or a spend (``_remove``) clears it. A
+per-bucket count of reserved outputs lets a pick skip scanning a boundary
+bucket in which every output is reserved.
 """
 
 from __future__ import annotations
@@ -148,6 +153,10 @@ class ChainState:
         # _starts[i] = outputs in the buckets before _bucket_keys[i], with the
         # grand total appended; None once _add or _remove has moved a count
         self._starts: list[int] | None = None
+        # outputs picked and neither released nor spent; how many of them
+        # each bucket holds (a key per existing bucket)
+        self._reserved: set[bytes] = set()
+        self._reserved_counts: dict[int, int] = {}
         self.total_unspent = 0
         self.fees_collected = 0
         self.minted = 0
@@ -167,6 +176,7 @@ class ChainState:
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = []
+            self._reserved_counts[key] = 0
             bisect.insort(self._bucket_keys, key)
         pos = len(bucket)
         if pos > _POS_MASK:
@@ -187,8 +197,12 @@ class ChainState:
         if last != output_id:
             bucket[pos] = last
             entries[last] = entries[last] & _VALUE_MASK | pos
+        if output_id in self._reserved:
+            self._reserved.remove(output_id)
+            self._reserved_counts[key] -= 1
         if not bucket:
             del self._buckets[key]
+            del self._reserved_counts[key]
             self._bucket_keys.remove(key)
         self._starts = None
         self.total_unspent -= value
@@ -206,24 +220,33 @@ class ChainState:
         self.minted += value
         self.check_conservation()
 
-    def pick_at_least(self, needed: int, rng, excluded: set[bytes]) -> bytes | None:
-        """Sample an unspent output worth at least ``needed`` satoshi.
+    def release(self, output_ids) -> None:
+        """Free reserved outputs for later picks (their pending transactions left the pool)."""
+        counts, entries = self._reserved_counts, self._entries
+        for output_id in output_ids:
+            self._reserved.remove(output_id)
+            counts[(entries[output_id] >> _POS_BITS).bit_length()] -= 1
 
-        Sampling is uniform over the candidate buckets' members. Only the
-        boundary bucket (same bit length as ``needed``) can hold too-small
-        values, so after ``_TRIES`` misses sampling moves strictly above it,
-        and as a last resort the boundary bucket is scanned directly.
+    def pick_at_least(self, needed: int, rng) -> bytes | None:
+        """Reserve and return an unreserved unspent output worth at least ``needed`` satoshi.
+
+        No later pick returns it until ``release`` or a spend clears it.
+        Sampling is uniform over the candidate buckets' members; a reserved
+        or too-small sample misses. Only the boundary bucket (same bit length
+        as ``needed``) can hold too-small values, so after ``_TRIES`` misses
+        sampling moves strictly above it, and as a last resort the boundary
+        bucket is scanned for its first unreserved output large enough,
+        unless its reserved count says every output there is reserved.
 
         One sample draws a position below the count ``n`` of outputs in the
         buckets from ``lo`` on and bisects the cached bucket starts (rebuilt
         only after the registry changed) for the output there. Only one
         bisect finds ``lo``: the phase above the boundary starts one bucket
         later if the boundary bucket exists, found once the first phase
-        missed. The draw is
-        ``rng.randrange(n)`` written out on ``getrandbits``: on the pinned
-        CPython 3.11.7 it consumes exactly the words ``randrange`` does, as
-        the stateful test (``tests/test_chainstate_stateful.py``) checks
-        against the ``randrange`` reference in ``tests/reference_sampler.py``.
+        missed. The draw is ``rng.randrange(n)`` written out on ``getrandbits``:
+        on the pinned CPython 3.11.7 it consumes exactly the words ``randrange``
+        does, as the stateful test (``tests/test_chainstate_stateful.py``)
+        checks against the ``randrange`` reference in ``tests/reference_sampler.py``.
 
         A candidate's packed entry is compared with ``needed << _POS_BITS``,
         which is ``value >= needed`` because its position is below
@@ -232,6 +255,7 @@ class ChainState:
         floor_key = needed.bit_length()
         least = needed << _POS_BITS
         entries = self._entries
+        reserved, counts = self._reserved, self._reserved_counts
         keys = self._bucket_keys
         buckets = self._buckets
         starts = self._starts
@@ -257,15 +281,21 @@ class ChainState:
                     r = getrandbits(k)
                 pick = first + r
                 i = bisect_right(starts, pick, lo) - 1
-                output_id = buckets[keys[i]][pick - starts[i]]
-                if output_id not in excluded and entries[output_id] >= least:
+                key = keys[i]
+                output_id = buckets[key][pick - starts[i]]
+                if output_id not in reserved and entries[output_id] >= least:
+                    reserved.add(output_id)
+                    counts[key] += 1
                     return output_id
             # a miss: the next phase starts past the boundary bucket, if
             # keys[lo] (which exists, since n > 0) is that bucket
             lo += keys[lo] == floor_key
-        for output_id in buckets.get(floor_key, ()):
-            if output_id not in excluded and entries[output_id] >= least:
-                return output_id
+        if counts.get(floor_key, 0) < len(bucket := buckets.get(floor_key, ())):
+            for output_id in bucket:
+                if output_id not in reserved and entries[output_id] >= least:
+                    reserved.add(output_id)
+                    counts[floor_key] += 1
+                    return output_id
         return None
 
     # -- conservation -----------------------------------------------------

@@ -206,7 +206,6 @@ class _Run:
         self.t = 0.0
         self.seq = 0
         self.mempool: list[list[ArrivalTx]] = [[] for _ in range(config.num_levels)]
-        self.reserved: set[bytes] = set()
         self.txs_generated = 0
         self.txs_confirmed = 0
         self.txs_skipped = 0
@@ -356,8 +355,8 @@ class _Run:
 
         One arrival draws, in this order: its value and size
         (``draw_value_size``), whether its level is overridden and to which
-        level, its fee overpay, its input (``ChainState.pick_at_least``) and,
-        if an input funds it, its 256-bit id; then the time to the next
+        level, its fee overpay, its input (``ChainState.pick_at_least``, which
+        reserves it) and, if an input funds it, its 256-bit id; then the time to the next
         arrival. An arrival no input funds is counted as skipped. What does
         not change during a run is bound here once; the fee rates are read
         on every send, since a retarget replaces them. ``_next_arrival``,
@@ -369,8 +368,6 @@ class _Run:
         rng = self.rng
         random_, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
         draw, pick = draw_value_size, self.state.pick_at_least
-        reserved = self.reserved
-        reserve = reserved.add
         pools = self.mempool
         boundaries = self.boundaries
         num_levels = cfg.num_levels
@@ -401,11 +398,10 @@ class _Run:
                 # rng.uniform(1.0, cfg.fee_overpay_max), written out
                 fee = ceil(fee_rates[level] * 8 * size * (1.0 + overpay_span * random_()))
                 generated += 1
-                input_ref = pick(value + fee, rng, reserved)
+                input_ref = pick(value + fee, rng)
                 if input_ref is None:
                     skipped += 1
                 else:
-                    reserve(input_ref)
                     seq += 1
                     pools[level].append(ArrivalTx(getrandbits(256).to_bytes(32, "big"), value, size, input_ref,
                                                   fee, seq, t, level if overridden else None))
@@ -424,11 +420,11 @@ class _Run:
         self._arrivals.send(until)
 
     def _evict(self, pool: list[ArrivalTx], limit: int) -> None:
-        """Evict the lowest fee rates beyond ``limit`` entries, in place."""
+        """Evict the lowest fee rates beyond ``limit`` entries, in place, and release their inputs."""
         if len(pool) <= limit:
             return
         pool.sort(key=_pool_order)
-        self.reserved.difference_update([tx.input_ref for tx in pool[limit:]])
+        self.state.release([tx.input_ref for tx in pool[limit:]])
         self.txs_evicted += len(pool) - limit
         del pool[limit:]
 
@@ -471,10 +467,8 @@ class _Run:
             self.t += propagation_delay(batch_bytes, self.cfg)
         return parent_ref
 
-    def _accept(self, block: SubBlock, dt: float, nonce=None, check_shard=False, expected_carried=None) -> None:
-        result = validate_block(
-            block, self.state, nonce=nonce, check_shard=check_shard, expected_carried=expected_carried
-        )
+    def _accept(self, block: SubBlock, dt: float, nonce=None, check_shard=False) -> None:
+        result = validate_block(block, self.state, nonce=nonce, check_shard=check_shard)
         if not result:
             self.blocks_rejected[result.code] = self.blocks_rejected.get(result.code, 0) + 1
             raise AssertionError(f"engine produced an invalid block: {result.detail}")
@@ -484,7 +478,6 @@ class _Run:
         window = self.windows[level]
         for tx in block.txs:
             window.beta_sum += tx.value / tx.size_bits
-            self.reserved.discard(tx.input_ref)
         window.tx_count += len(block.txs)
         self.txs_confirmed += len(block.txs)
         window.block_bits += block.size_bits
@@ -834,7 +827,7 @@ class _TreeRun(_ShardedRun):
             bits_level_sums=tuple(bits_sums),
             nonce=nonce_step(self._random_id(), *(k.carried.nonce for k in kids)),
         )
-        self._accept(block, dt, nonce=nonce, check_shard=True, expected_carried=block.carried)
+        self._accept(block, dt, nonce=nonce, check_shard=True)
         last[c] = block
         self.child_references += len(child_refs)
         if level:

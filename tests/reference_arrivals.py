@@ -10,7 +10,9 @@ takes the preseeded backlog out of the level pools on its first drain, as
 ``_ConcurrentRun.run`` did at its start; nothing reads those pools before.
 
 Each arrival builds the engine's one pending record, an ``ArrivalTx``
-holding its fee and seq; the draws and their order are as they were. Two
+holding its fee and seq; the draws and their order are as they were. The
+pick, marked ``# changed``, no longer passes the run's reserved set nor adds
+to it: ``ChainState.pick_at_least`` reserves what it returns. Two
 additions, marked ``# added``, stamp the arrival time the stream now gives
 every entry. The old flat and tree drain left it unset, and the old
 concurrent drain stamped the backlog with the first arrival time on routing
@@ -65,11 +67,10 @@ class ReferenceArrivals:
         overpay = self.rng.uniform(1.0, cfg.fee_overpay_max)
         fee = math.ceil(self.fee_rates_sat[level] * 8 * size * overpay)
         self.txs_generated += 1
-        input_ref = self.state.pick_at_least(value + fee, self.rng, self.reserved)
+        input_ref = self.state.pick_at_least(value + fee, self.rng)  # changed: the pick reserves
         if input_ref is None:
             self.txs_skipped += 1
             return None
-        self.reserved.add(input_ref)
         self.seq += 1
         self.mempool[level].append(ArrivalTx(self._random_id(), value, size, input_ref, fee, self.seq,
                                              requested_level=level if overridden else None))

@@ -30,7 +30,8 @@ def snapshot(run):
         "skipped": run.txs_skipped,
         "seq": run.seq,
         "next_arrival": run._next_arrival,
-        "reserved": sorted(run.reserved),
+        "reserved": sorted(run.state._reserved),
+        "reserved_counts": dict(run.state._reserved_counts),
         "fee_rates": tuple(run.fee_rates_sat),
     }
 

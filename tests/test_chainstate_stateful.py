@@ -3,7 +3,10 @@ and the input sampler, driven by random sequences of operations.
 
 The sampler is checked against the two-walk reference in
 ``reference_sampler.py``: on the same state, a generator seeded alike must
-yield the same output and end in the same state.
+yield the same output and end in the same state, the reference excluding
+the outputs a model set says are reserved. Picks reserve, releases and
+spends free, and the state's reserved set and per-bucket counts must agree
+with that model after every step.
 """
 
 import hashlib
@@ -65,6 +68,8 @@ def snapshot(state):
         list(state._bucket_keys),
         dict(state._entries),
         None if state._starts is None else list(state._starts),
+        set(state._reserved),
+        dict(state._reserved_counts),
         state.total_unspent,
         state.fees_collected,
         state.minted,
@@ -80,6 +85,8 @@ class ChainStateMachine(RuleBasedStateMachine):
         self.spent: list[bytes] = []
         # the unspent outputs the operations so far should leave: id -> value
         self.model: dict[bytes, int] = {}
+        # the outputs picked and neither released nor spent since
+        self.reserved: set[bytes] = set()
 
     def fresh_id(self) -> bytes:
         return next(self._ids)
@@ -128,7 +135,17 @@ class ChainStateMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.state.unspent)
     @rule(data=st.data())
     def apply_valid_block(self, data):
-        outputs = st.sampled_from(sorted(self.state.unspent))
+        self.apply_spending(data, sorted(self.state.unspent))
+
+    @precondition(lambda self: self.reserved)
+    @rule(data=st.data())
+    def apply_block_spending_reserved(self, data):
+        """A block spends reserved outputs only: the spends clear them."""
+        self.apply_spending(data, sorted(self.reserved))
+
+    def apply_spending(self, data, candidates):
+        """Apply a valid block spending some of ``candidates``."""
+        outputs = st.sampled_from(candidates)
         refs = data.draw(st.lists(outputs, min_size=1, max_size=6, unique=True))
         if len(refs) >= 2 and data.draw(st.booleans()):
             # a two-input spend, allowed at level 0 only
@@ -156,6 +173,7 @@ class ChainStateMachine(RuleBasedStateMachine):
         for tx in txs:
             assert self.state.unspent[tx.id] == tx.value
         self.spent.extend(spent)
+        self.reserved.difference_update(spent)
         for tx, fee in zip(txs, fees):
             change = sum(self.model.pop(ref) for ref in (tx.input_ref, *tx.extra_input_refs)) - tx.value - fee
             self.model[tx.id] = tx.value
@@ -216,32 +234,56 @@ class ChainStateMachine(RuleBasedStateMachine):
         assert result.code == expected
         assert snapshot(self.state) == before
 
+    def reserve_all(self, rng):
+        """Reserve every output by picks, from the highest bucket down.
+
+        A pick for the least value of bucket ``key`` samples only that
+        bucket and those above, already all reserved, and ends in a scan
+        of that bucket; so it finds an output until the bucket is reserved.
+        """
+        for key in reversed(self.state._bucket_keys):
+            while (got := self.state.pick_at_least(1 << (key - 1), rng)) is not None:
+                assert got not in self.reserved
+                self.reserved.add(got)
+        assert self.reserved == self.state.unspent.keys()
+
     @rule(data=st.data(), picks=st.integers(1, 4))
     def pick(self, data, picks):
-        """Several picks on one state, each with its own ``needed`` and ``excluded``."""
+        """Several picks on one state, each with its own ``needed``; each
+        found output is reserved, so no later pick returns it."""
         unspent = self.state.unspent
         ids = sorted(unspent)
         for _ in range(picks):
+            seed = data.draw(st.integers(0, 2**32))
             if ids and data.draw(st.booleans()):
-                # all but a few outputs excluded, and ``needed`` at or just
+                # all but a few outputs reserved, and ``needed`` at or just
                 # above the value of one kept: the tries mostly miss, and
                 # the answer, if any, is left to the boundary-bucket scan
                 kept = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
-                excluded = set(ids) - set(kept)
+                self.reserve_all(random.Random(seed))
+                self.state.release(kept)
+                self.reserved.difference_update(kept)
                 needed = max(1, unspent[kept[0]] + data.draw(st.integers(-1, 1)))
             else:
                 values = sorted(set(unspent.values()))
                 base = data.draw(st.one_of(VALUES, st.sampled_from(values)) if values else VALUES)
                 needed = max(1, base + data.draw(st.integers(-1, 1)))
-                excluded = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
-            seed = data.draw(st.integers(0, 2**32))
             reference_rng, rng = random.Random(seed), random.Random(seed)
-            expected = two_walk_pick_at_least(self.state, needed, reference_rng, excluded)
-            got = self.state.pick_at_least(needed, rng, excluded)
+            expected = two_walk_pick_at_least(self.state, needed, reference_rng, set(self.reserved))
+            got = self.state.pick_at_least(needed, rng)
             assert got == expected
             assert rng.getstate() == reference_rng.getstate()
             if got is not None:
-                assert got not in excluded and self.state.unspent[got] >= needed
+                assert got not in self.reserved and self.state.unspent[got] >= needed
+                self.reserved.add(got)
+
+    @precondition(lambda self: self.reserved)
+    @rule(data=st.data())
+    def release(self, data):
+        """Release some reserved outputs, as an eviction does."""
+        released = data.draw(st.lists(st.sampled_from(sorted(self.reserved)), min_size=1, unique=True))
+        self.state.release(released)
+        self.reserved.difference_update(released)
 
     @invariant()
     def value_conserved(self):
@@ -253,6 +295,15 @@ class ChainStateMachine(RuleBasedStateMachine):
     @invariant()
     def unspent_matches_model(self):
         assert dict(self.state.unspent) == self.model
+
+    @invariant()
+    def reserved_matches_model(self):
+        s = self.state
+        assert s._reserved == self.reserved
+        assert s._reserved <= s._entries.keys()
+        assert s._reserved_counts == {
+            key: sum(output_id in s._reserved for output_id in bucket) for key, bucket in s._buckets.items()
+        }
 
     @invariant()
     def index_matches_unspent(self):

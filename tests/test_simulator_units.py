@@ -365,14 +365,15 @@ def test_evict_releases_the_evicted_inputs():
     run = engine._FlatRun(small_config())
     pool = [record for level_pool in run.mempool for record in level_pool]
     assert len(pool) > 4
-    assert {record.input_ref for record in pool} <= run.reserved
+    reserved = run.state._reserved
+    assert {record.input_ref for record in pool} <= reserved
     ranked = sorted(pool, key=lambda r: (-r.fee_sat / r.size_bits, r.seq))
     evicted_before = run.txs_evicted
     run._evict(pool, 4)
     assert pool == ranked[:4]
     assert run.txs_evicted - evicted_before == len(ranked) - 4
-    assert {record.input_ref for record in ranked[:4]} <= run.reserved
-    assert not {record.input_ref for record in ranked[4:]} & run.reserved
+    assert {record.input_ref for record in ranked[:4]} <= reserved
+    assert not {record.input_ref for record in ranked[4:]} & reserved
 
 
 @pytest.mark.parametrize(
@@ -411,15 +412,19 @@ class TestChainState:
             state.inject_genesis(i.to_bytes(32, "big"), 10 * (i + 1))
         for _ in range(200):
             needed = rng.randrange(1, 1000)
-            got = state.pick_at_least(needed, rng, set())
+            got = state.pick_at_least(needed, rng)
             assert got is not None
             assert state.unspent[got] >= needed
+            state.release([got])
 
     def test_pick_at_least_exhausted(self, rng):
         state = ChainState()
         state.inject_genesis(b"\x01" * 32, 100)
-        assert state.pick_at_least(101, rng, set()) is None
-        assert state.pick_at_least(50, rng, {b"\x01" * 32}) is None
+        assert state.pick_at_least(101, rng) is None
+        assert state.pick_at_least(50, rng) == b"\x01" * 32
+        assert state.pick_at_least(50, rng) is None, "a reserved output is not picked again"
+        state.release([b"\x01" * 32])
+        assert state.pick_at_least(50, rng) == b"\x01" * 32
 
     @pytest.mark.parametrize("boundary_values", [(), (513, 540, 600)], ids=["no-boundary-bucket", "too-small-boundary"])
     def test_pick_above_the_boundary_matches_reference(self, boundary_values):
@@ -427,22 +432,27 @@ class TestChainState:
         there is one, and stays put when there is none: the picks and the
         generator states match the two-walk reference either way."""
         state = ChainState()
-        for i, value in enumerate(boundary_values):
-            state.inject_genesis(b"b" + i.to_bytes(31, "big"), value)
         crowd = [b"c" + i.to_bytes(31, "big") for i in range(20)]
         for i, output_id in enumerate(crowd):
-            state.inject_genesis(output_id, 2048 + i)  # bucket 12, every one excluded
+            state.inject_genesis(output_id, 2048 + i)  # bucket 12, every one reserved
+        for _ in crowd:
+            assert state.pick_at_least(2048, random.Random(0)) is not None
+        assert state._reserved == set(crowd)
+        for i, value in enumerate(boundary_values):
+            state.inject_genesis(b"b" + i.to_bytes(31, "big"), value)
         for i in range(2):
             state.inject_genesis(b"d" + i.to_bytes(31, "big"), 2**20 + i)  # bucket 21
         needed = 700 if boundary_values else 300
-        excluded = set(crowd)
         picks = []
         for seed in range(20):
             rng, reference = random.Random(seed), random.Random(seed)
-            got = state.pick_at_least(needed, rng, excluded)
-            assert got == two_walk_pick_at_least(state, needed, reference, excluded)
+            expected = two_walk_pick_at_least(state, needed, reference, set(crowd))
+            got = state.pick_at_least(needed, rng)
+            assert got == expected
             assert rng.getstate() == reference.getstate()
             picks.append(got)
+            if got is not None:
+                state.release([got])
         assert any(picks), "some picks find an input"
 
     def test_duplicate_output_id_rejected(self):
@@ -483,8 +493,8 @@ class TestChainState:
             entry = state._entries[output_id]
             assert entry >> 32 == state.unspent[output_id] == 2**20 + i
             assert bucket[entry & (2**32 - 1)] == output_id
-        assert state.pick_at_least(2**20 + n - 1, rng, set()) == ids[-1]
-        assert state.pick_at_least(2**20 + n - 1, rng, {ids[-1]}) is None
+        assert state.pick_at_least(2**20 + n - 1, rng) == ids[-1]
+        assert state.pick_at_least(2**20 + n - 1, rng) is None, "the one large enough is reserved"
 
     def test_a_full_bucket_refuses_another_output(self):
         """An output's position in its bucket has 32 bits, so a bucket holding
