@@ -29,7 +29,7 @@ import bisect
 import hashlib
 import itertools
 import struct
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..core import ExtendedTransaction
@@ -220,7 +220,7 @@ class ChainState:
         self.minted += value
         self.check_conservation()
 
-    def release(self, output_ids) -> None:
+    def release(self, output_ids: Iterable[bytes]) -> None:
         """Free reserved outputs for later picks (their pending transactions left the pool)."""
         counts, entries = self._reserved_counts, self._entries
         for output_id in output_ids:

@@ -355,13 +355,13 @@ class _Run:
 
         One arrival draws, in this order: its value and size
         (``draw_value_size``), whether its level is overridden and to which
-        level, its fee overpay, its input (``ChainState.pick_at_least``, which
-        reserves it) and, if an input funds it, its 256-bit id; then the time to the next
-        arrival. An arrival no input funds is counted as skipped. What does
-        not change during a run is bound here once; the fee rates are read
-        on every send, since a retarget replaces them. ``_next_arrival``,
-        ``seq``, ``txs_generated`` and ``txs_skipped`` are written back once
-        per send.
+        level, its fee overpay, its input (``ChainState.pick_at_least``,
+        which reserves it) and, if an input funds it, its 256-bit id; then
+        the time to the next arrival. An arrival no input funds is counted as
+        skipped. What does not change during a run is bound here once; the
+        fee rates are read on every send, since a retarget replaces them.
+        ``_next_arrival``, ``seq``, ``txs_generated`` and ``txs_skipped`` are
+        written back once per send.
         """
         cfg = self.cfg
         spec = cfg.workload
