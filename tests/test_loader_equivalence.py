@@ -8,13 +8,16 @@ that loads must give the oracle's rows, counts and ids; a file that does not
 must name the case's row with the reason pinned here.
 """
 
+import collections
 import csv
 import os
 import random
+import sys
 import threading
 
 import pytest
 
+from hbsim import dataio
 from hbsim.dataio import load_dataset
 from hbsim.segmentation import txid_to_bytes
 
@@ -165,6 +168,7 @@ def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
         with open(pipe, "wb") as fh:
             fh.write(text.encode("utf-8"))
 
+    threads = threading.enumerate()
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
@@ -172,7 +176,106 @@ def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
+    assert threading.enumerate() == threads
     expected = oracle(path)
     assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
     assert {key: getattr(summary, key) for key in expected} == expected
     assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
+
+
+def long_row(i: int, size: str = "100", txid_tail: bytes = b"") -> bytes:
+    """A data row longer than 64 bytes, so that at chunk sizes 1, 7 and 64 a
+    chunk (a read plus the rest of its line) holds exactly one row."""
+    return f"{1000 + i},{i:080x}".encode() + txid_tail + f",{size},{5 + i}".encode()
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+@pytest.mark.parametrize("first", ["bad_row", "invalid_utf8"])
+def test_error_order_across_read_ahead(tmp_path, monkeypatch, first, chunk_chars):
+    """Errors come in file order, also from a chunk read ahead of the one that
+    sends the rest of the file to csv.reader: that chunk is decoded only when
+    csv.reader reaches it. One-row csv batches make the reader check the bad
+    row before it reads the next line (a full batch would read on past it)."""
+    bad = long_row(90, size="-3")
+    invalid = long_row(91, txid_tail=b"\xff")
+    middle = [bad, invalid] if first == "bad_row" else [invalid, bad]
+    rows = [long_row(i) for i in range(5)]
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join([HEADER.encode(), *rows, *middle, *rows]) + b"\n")
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_ROWS", 1)
+    if first == "bad_row":
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: malformed row 7: size must be >= 1"
+    else:
+        with pytest.raises(UnicodeDecodeError):
+            load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["clean", "fallback", "row_error_plain_chunk", "row_error_text", "invalid_utf8"],
+)
+def test_no_thread_outlives_a_load(tmp_path, monkeypatch, case):
+    """The threads are the same before and after a load, whether it loads or
+    raises in the middle of the file. The loads run under a short switch
+    interval, so that the loader's threads change hands often."""
+    rows = [long_row(i) for i in range(40)]
+    middle = {
+        "clean": [],
+        "fallback": [long_row(90, size="+5")],
+        "row_error_plain_chunk": [long_row(90, size=str(2**53))],
+        "row_error_text": [long_row(90, size="-3")],
+        "invalid_utf8": [long_row(90, txid_tail=b"\xff")],
+    }[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join([HEADER.encode(), *rows, *middle, *rows]) + b"\n")
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", 64)
+    threads = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        if case.startswith("row_error"):
+            with pytest.raises(ValueError, match="malformed row 42"):
+                load_dataset(path)
+        elif case == "invalid_utf8":
+            with pytest.raises(UnicodeDecodeError):
+                load_dataset(path)
+        else:
+            table, summary = load_dataset(path)
+            expected = oracle(path)
+            assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
+            assert {key: getattr(summary, key) for key in expected} == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == threads
+
+
+def test_columns_are_allocated_once(tmp_path, monkeypatch):
+    """On a seekable file whose rows are all alike, each column is sized at
+    its first chunk from the rows per byte of the chunks written so far, and
+    never grows again. The txid offsets start from a one-row buffer holding
+    their leading 0, which holds no chunk's rows and is not counted."""
+    rng = random.Random(5)
+    rows = [f"{800_000 + i // 7},{rng.getrandbits(256):064x},{rng.randrange(100, 1000)},{rng.randrange(1000, 10000)}"
+            for i in range(3000)]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([HEADER, *rows, ""]))
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", 4096)
+    allocations = collections.defaultdict(list)
+    reserve = dataio._Column.reserve
+
+    def counting_reserve(column, count, expected_rows):
+        before = column.buffer
+        out = reserve(column, count, expected_rows)
+        if column.buffer is not before:
+            allocations[column].append(len(column.buffer))
+        return out
+
+    monkeypatch.setattr(dataio._Column, "reserve", counting_reserve)
+    table, summary = load_dataset(path)
+    assert summary.transactions == len(table) == 3000
+    sized = [[n for n in sizes if n > 1] for sizes in allocations.values()]
+    assert len(sized) == 5
+    assert all(len(sizes) == 1 for sizes in sized), sized
