@@ -8,12 +8,14 @@ exports are delimited files whose first row names the series.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
 import json
 import math
 import random
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import ExtendedTransaction
-from .segmentation import TransactionTable, fit_lognormal, lg_beta_histogram
+from .segmentation import TransactionTable
 from . import sharding
 
 MANDATORY_COLUMNS = ("block_height", "txid", "size", "output_value")
@@ -177,10 +179,17 @@ def _out_of_range(sizes: np.ndarray, values: np.ndarray) -> bool:
     return bool((bad & (values != 0)).any())
 
 
-def _text_lines(data: bytes, fh: io.TextIOWrapper) -> Iterator[str]:
-    """The lines of ``data`` and then of the rest of ``fh``, decoded as UTF-8
-    and split where ``csv.reader`` needs them split."""
-    return itertools.chain(io.StringIO(data.decode(), newline=""), fh)
+def _text_lines(data: bytes, ahead: collections.deque, fh: io.TextIOWrapper) -> Iterator[str]:
+    """The lines of ``data``, then of each chunk in ``ahead``, then of the
+    rest of ``fh``, decoded as UTF-8 and split where ``csv.reader`` needs
+    them split.
+
+    A chunk in ``ahead`` is taken out of it and decoded only when the lines
+    reach it, so an error in an earlier line is raised first.
+    """
+    parts = itertools.chain((data,), (ahead.popleft() for _ in range(len(ahead))))
+    texts = (io.StringIO(part.decode(), newline="") for part in parts)
+    return itertools.chain.from_iterable(itertools.chain(texts, (fh,)))
 
 
 def _read_header(fh: io.TextIOWrapper) -> tuple[list[str], Iterator[str] | None]:
@@ -194,49 +203,93 @@ def _read_header(fh: io.TextIOWrapper) -> tuple[list[str], Iterator[str] | None]
     line = fh.buffer.readline()
     if b'"' not in line and b"\r" not in line.removesuffix(b"\n").removesuffix(b"\r"):
         return next(csv.reader([line.decode()]), []), None
-    lines = _text_lines(line, fh)
+    lines = _text_lines(line, collections.deque(), fh)
     return next(csv.reader(lines), []), lines
 
 
+def _parse(data: bytes, picks: list[int], width: int):
+    """:func:`_plain_chunk` of ``data``, once it is checked to be UTF-8."""
+    if not data.isascii():
+        data.decode()  # raises on invalid UTF-8; a line end never splits a character
+    return _plain_chunk(data, picks, width)
+
+
+def _parse_in_order(jobs, picks: list[int], width: int) -> None:
+    """The parser thread: for each ``(data, box)`` taken from ``jobs``, in
+    order, put ``(_parse(data), None)`` or ``(None, error)`` in ``box``;
+    stop at None."""
+    for data, box in iter(jobs.get, None):
+        try:
+            box.put((_parse(data, picks, width), None))
+        except BaseException as exc:  # raised again by the thread that reads the box
+            box.put((None, exc))
+
+
 def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str], path: Path) -> Iterator[tuple]:
-    """The checked records after the header, in chunks, read from ``fh.buffer``
-    until ``csv.reader`` takes over.
+    """The checked records after the header, in chunks and in file order,
+    read from ``fh.buffer`` until ``csv.reader`` takes over.
 
     Each chunk is (rows read, block heights, then the size and value of its
-    kept rows, and a byte array with the starts and ends of their UTF-8
-    txids). Plain chunks (see :func:`_plain_chunk`) are parsed with numpy.
-    From the first other chunk on, or from the start if ``lines`` holds the
-    file's text lines, ``csv.reader`` parses the rest of the file; it skips
-    blank lines and gives a short record None for its missing fields, as
+    kept rows, a byte array with the starts and ends of their UTF-8 txids,
+    and the bytes read from ``fh.buffer`` past the chunk). Plain chunks (see
+    :func:`_plain_chunk`) are parsed with numpy on one parser thread, which
+    this generator starts and joins before it returns or raises; it reads
+    the next chunk while that thread parses one and the caller writes the
+    one before. From the first other chunk on, or from the start if
+    ``lines`` holds the file's text lines, ``csv.reader`` parses the rest of
+    the file, starting with the chunk already read ahead; it skips blank
+    lines and gives a short record None for its missing fields, as
     ``csv.DictReader`` does. Either way a rejected record raises the error
-    of :func:`_row_error`, and invalid UTF-8 raises UnicodeDecodeError.
+    of :func:`_row_error`, and invalid UTF-8 raises UnicodeDecodeError, the
+    first in the file first.
     """
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     picks = [index[c] for c in MANDATORY_COLUMNS]
     width = len(header)
     first_row = 2
+    ahead: collections.deque = collections.deque()  # read-ahead chunks csv.reader has not reached
     if lines is None:
+        import queue  # imported by the first load, not with this module
+
         raw = fh.buffer
-        while chunk := raw.read(_CHUNK_BYTES):
-            data = b"".join((_PADDING, chunk, raw.readline()))
-            if not data.endswith(b"\n"):
-                data += b"\n"
-            if not data.isascii():
-                data.decode()  # raises on invalid UTF-8; a line end never splits a character
-            plain = _plain_chunk(data, picks, width)
-            if plain is None:
-                break
-            heights, size, value, buf, starts, ends = plain
-            if _out_of_range(size, value):
-                records = zip(heights.tolist(), itertools.repeat(""), size.tolist(), value.tolist())
-                _raise_row_error(path, first_row, records)
-            keep = value != 0
-            run_starts = np.append(True, heights[1:] != heights[:-1])
-            yield len(value), heights[run_starts].tolist(), size[keep], value[keep], buf, starts, ends
-            first_row += len(value)
-        else:
-            return
-        lines = _text_lines(data[_PAD:], fh)
+        jobs = queue.SimpleQueue()
+        parser = threading.Thread(target=_parse_in_order, args=(jobs, picks, width), daemon=True)
+        parser.start()
+        # (box, data, end) of each chunk handed to the parser, in file order;
+        # data[_PAD:end] is the chunk as read
+        pending: collections.deque = collections.deque()
+        try:
+            while True:
+                while len(pending) < 2 and (chunk := raw.read(_CHUNK_BYTES)):
+                    data = b"".join((_PADDING, chunk, raw.readline()))
+                    end = len(data)
+                    if not data.endswith(b"\n"):
+                        data += b"\n"
+                    box = queue.SimpleQueue()
+                    jobs.put((data, box))
+                    pending.append((box, data, end))
+                if not pending:
+                    return
+                box, data, _ = pending.popleft()
+                plain, error = box.get()
+                if error is not None:
+                    raise error
+                if plain is None:
+                    break
+                heights, size, value, buf, starts, ends = plain
+                if _out_of_range(size, value):
+                    records = zip(heights.tolist(), itertools.repeat(""), size.tolist(), value.tolist())
+                    _raise_row_error(path, first_row, records)
+                keep = value != 0
+                run_starts = np.append(True, heights[1:] != heights[:-1])
+                read_past = sum(end - _PAD for _, _, end in pending)
+                yield len(value), heights[run_starts].tolist(), size[keep], value[keep], buf, starts, ends, read_past
+                first_row += len(value)
+        finally:
+            jobs.put(None)
+            parser.join()
+        ahead.extend(later[_PAD:end] for _, later, end in pending)
+        lines = _text_lines(data[_PAD:], ahead, fh)
     reader = csv.reader(lines)
     short = max(picks) + 1
     while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
@@ -263,7 +316,7 @@ def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str]
         lengths = np.fromiter(map(len, kept_txids), dtype=np.int64, count=len(kept_txids))
         ends = np.cumsum(lengths)
         buf = np.frombuffer(joined.encode(), dtype=np.uint8)
-        yield len(rows), heights, size[keep], value[keep], buf, ends - lengths, ends
+        yield len(rows), heights, size[keep], value[keep], buf, ends - lengths, ends, sum(map(len, ahead))
         first_row += len(rows)
 
 
@@ -352,6 +405,18 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
     that it is UTF-8. The first chunk that is not plain, and the rest of the
     file after it, go through ``csv.reader`` and ``int()``; both give the
     same results and the same errors.
+
+    Two threads share the work. The calling thread reads each chunk, hands
+    it to one parser thread for the UTF-8 check and the numpy parse, and
+    writes the parsed chunks into the columns; it reads one chunk ahead, so
+    a chunk is parsed while the one after it is read and the one before it
+    is written. The parser thread is started and joined inside this call,
+    also when it raises. Chunks are written, and their errors raised, in
+    file order: the error reported is the first in the file, also when a
+    later chunk was already read ahead. There is one parser thread because
+    the threads overlap only inside numpy calls and reads, which release
+    the interpreter lock; a second parser thread was slower, as three
+    threads then wait on that lock.
     """
     path = Path(path)
     file_bytes = path.stat().st_size
@@ -370,23 +435,25 @@ def load_dataset(path: str | Path) -> tuple[TransactionTable, LoadSummary]:
         extra_columns = tuple(c for c in header if c not in MANDATORY_COLUMNS)
         seekable = fh.seekable()
 
-        def expect(count: int) -> int:
-            # the file's count if the rest is like what was read, and an eighth
-            # more; a pipe tells neither, so its columns grow as they fill
-            return count * file_bytes // fh.buffer.tell() * 9 // 8 if seekable else 0
+        def expect(count: int, read_past: int) -> int:
+            # the file's count if the rest is like what was written, and an
+            # eighth more; the reader's position runs ahead of the chunk being
+            # written by the bytes read past it. A pipe tells neither, so its
+            # columns grow as they fill
+            return count * file_bytes // (fh.buffer.tell() - read_past) * 9 // 8 if seekable else 0
 
-        for rows, heights, size, value, buf, starts, ends in _chunks(fh, lines, header, path):
+        for rows, heights, size, value, buf, starts, ends, read_past in _chunks(fh, lines, header, path):
             rows_read += rows
             blocks.update(heights)
             kept += len(value)
-            expected = expect(kept)
+            expected = expect(kept, read_past)
             values.append(value, expected)
             sizes.append(size, expected)
             np.divide(value, 8 * size, out=beta.reserve(len(value), expected))
             lengths = ends - starts
             offsets.append(txids.rows + np.cumsum(lengths), expected + 1)
             txid_bytes = int(lengths.sum())
-            _gather(buf, starts, ends, txids.reserve(txid_bytes, expect(txids.rows + txid_bytes)))
+            _gather(buf, starts, ends, txids.reserve(txid_bytes, expect(txids.rows + txid_bytes, read_past)))
     table = TransactionTable(
         values.array(),
         sizes.array(),
@@ -590,14 +657,3 @@ def export_optimal_levels(
         rows.append([n, opt.levels, opt.store_mb_day, opt.download_mb_day])
     _write_delimited(Path(path), ["n", "L_argmin", "store_mb_day", "download_mb_day"], rows)
 
-
-def export_beta_histogram(path: str | Path, txs, bins: int = 100) -> None:
-    """lg(beta) histogram of a transaction set with the fitted normal overlay."""
-    edges, densities = lg_beta_histogram(txs, bins=bins)
-    fit = fit_lognormal(txs)
-    rows = []
-    for i, density in enumerate(densities):
-        center = (edges[i] + edges[i + 1]) / 2
-        overlay = float(fit.pdf(center)) if fit.sigma > 0 else ""
-        rows.append([center, density, overlay])
-    _write_delimited(Path(path), ["lg_beta_bin_center", "density", "fitted_pdf"], rows)

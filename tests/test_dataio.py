@@ -14,7 +14,6 @@ from hbsim.dataio import (
     DatasetRow,
     WorkloadSpec,
     draw_value_size,
-    export_beta_histogram,
     export_mfn_download,
     export_optimal_levels,
     export_sharding_efficiency,
@@ -25,7 +24,6 @@ from hbsim.dataio import (
     write_report,
 )
 from hbsim.segmentation import TransactionTable, fit_lognormal, txid_to_bytes
-from conftest import make_tx
 
 
 def write_csv(path, header, rows):
@@ -463,15 +461,3 @@ class TestFigureExports:
             for col, n in zip(row[1:], (1700, 10000, 50000)):
                 mb_day = (n * L**2 / (2**L - 1) + L) * 86400 * 250 / 1024**2
                 assert float(col) == pytest.approx(math.log10(mb_day), rel=1e-12)
-
-    def test_beta_histogram_export(self, tmp_path):
-        rng = random.Random(8)
-        txs = [
-            make_tx(max(1, round(10 ** rng.gauss(2, 0.5) * 8 * 250)), 250) for _ in range(2000)
-        ]
-        path = tmp_path / "fig5.csv"
-        export_beta_histogram(path, txs, bins=50)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["lg_beta_bin_center", "density", "fitted_pdf"]
-        assert len(rows) == 51
