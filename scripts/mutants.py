@@ -52,10 +52,14 @@ LINKS = f"{UNITS}::test_sharded_block_links_to_its_shards_last_block"
 STREAM = "tests/test_arrival_stream.py"
 BY_HAND = f"{STREAM}::test_gaps_driven_by_hand"
 LOADER = "tests/test_loader_equivalence.py"
+ORACLE = f"{LOADER}::test_load_matches_oracle"
+SEG = "tests/test_segmentation.py"
+TIED = f"{SEG}::TestScalarOracle::test_rows_tied_in_beta_and_id_keep_file_order"
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
 CONFIG = "src/hbsim/simulator/config.py"
 ENGINE = "src/hbsim/simulator/engine.py"
 DATAIO = "src/hbsim/dataio.py"
+SEGMENTATION = "src/hbsim/segmentation.py"
 
 
 @dataclass(frozen=True)
@@ -389,9 +393,135 @@ MUTANTS = (
     Mutant(
         "tell-on-a-pipe",
         DATAIO,
-        "fh.buffer.tell() * 9 // 8 if seekable else 0",
-        "fh.buffer.tell() * 9 // 8",
+        " * 9 // 8 if seekable else 0",
+        " * 9 // 8",
         (f"{LOADER}::test_pipe_loads_like_the_file",),
+    ),
+    Mutant(
+        "column-estimate-from-tell",
+        DATAIO,
+        "(fh.buffer.tell() - read_past)",
+        "fh.buffer.tell()",
+        (f"{LOADER}::test_columns_are_allocated_once",),
+    ),
+    Mutant(
+        "chunks-yielded-newest-first",
+        DATAIO,
+        "                box, data, _ = pending.popleft()\n",
+        "                box, data, _ = pending.pop()\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "fallback-drops-the-read-ahead-chunks",
+        DATAIO,
+        "        ahead.extend(later[_PAD:end] for _, later, end in pending)\n",
+        "",
+        (ORACLE,),
+    ),
+    Mutant(
+        "read-ahead-decoded-eagerly",
+        DATAIO,
+        '    texts = (io.StringIO(part.decode(), newline="") for part in parts)\n',
+        '    texts = [io.StringIO(part.decode(), newline="") for part in parts]\n',
+        (f"{LOADER}::test_error_order_across_read_ahead",),
+    ),
+    Mutant(
+        "resize-with-refcheck",
+        DATAIO,
+        "self.buffer.resize(self.rows, refcheck=False)",
+        "self.buffer.resize(self.rows)",
+        ("tests/test_dataio.py::TestLoadDataset::test_load_under_profile_and_trace_hooks",),
+    ),
+    Mutant(
+        "plain-chunk-accepts-quotes",
+        DATAIO,
+        "        if ((other == _QUOTE) | (other == _NUL)).any():\n",
+        "        if (other == _NUL).any():\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "plain-chunk-accepts-lone-cr",
+        DATAIO,
+        "        if (kinds[lfs] != _LF).any() or (delims[lfs] != delims[crs] + 1).any():\n            return None\n",
+        "",
+        (f"{LOADER}::test_lone_cr_in_the_last_field_ends_the_record",),
+    ),
+    Mutant(
+        "third-digit-word-place-value",
+        DATAIO,
+        "        total += word * _U64(10 ** (8 * j))\n",
+        "        total += word * _U64(10 ** (8 * min(j, 1)))\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "third-digit-word-masks-its-top-digit",
+        DATAIO,
+        "        word &= _KEEP[np.clip(lengths - 8 * j, 0, 8)]\n",
+        "        word &= _KEEP[np.clip(lengths - 8 * j - j // 2, 0, 8)]\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "value-at-2-53-accepted",
+        DATAIO,
+        " | (values < 0) | (values >= MAX_EXACT_INT)",
+        " | (values < 0)",
+        (ORACLE,),
+    ),
+    Mutant(
+        "cut-at-or-below-the-bound",
+        SEGMENTATION,
+        "        below = lg[cuts[-1] :] < bound\n",
+        "        below = lg[cuts[-1] :] <= bound\n",
+        (SEG,),
+    ),
+    Mutant(
+        "no-lg-screen",
+        SEGMENTATION,
+        "_LG_SCREEN = 1e-9\n",
+        "_LG_SCREEN = 0\n",
+        (SEG,),
+    ),
+    Mutant(
+        "ties-left-in-argsort-order",
+        SEGMENTATION,
+        "    _order_ties_by_id(table, order, ranked)\n",
+        "",
+        (SEG,),
+    ),
+    Mutant(
+        "tie-key-without-the-row",
+        SEGMENTATION,
+        "[_big_endian_bytes(run), text, _big_endian_bytes(rows)]",
+        "[_big_endian_bytes(run), text]",
+        (f"{TIED}[one_id]",),
+    ),
+    Mutant(
+        "uppercase-hex-ids-sorted-as-text",
+        SEGMENTATION,
+        '_LOWER_HEX = b"0123456789abcdef"\n',
+        '_LOWER_HEX = b"0123456789abcdefABCDEF"\n',
+        (f"{TIED}[lower_and_upper]",),
+    ),
+    Mutant(
+        "beta-mean-pairwise-sum",
+        SEGMENTATION,
+        "        beta_mean=float(np.add.accumulate(beta)[-1]) / n,\n",
+        "        beta_mean=float(np.sum(beta)) / n,\n",
+        (SEG,),
+    ),
+    Mutant(
+        "value-min-as-float",
+        SEGMENTATION,
+        "        value_min=int(values.min()),\n",
+        "        value_min=float(values.min()),\n",
+        (SEG,),
+    ),
+    Mutant(
+        "no-int64-overflow-guard",
+        SEGMENTATION,
+        "    if column.dtype == object or len(column) * int(column.max()) >= 2**63:\n",
+        "    if column.dtype == object:\n",
+        (SEG,),
     ),
 )
 

@@ -60,6 +60,7 @@ CASES = {
     "lone_cr": ("7,a\rb,5,9", NONE_ARG),
     "nul": ("7,a\0b,5,9", None),
     "quoted_field": ('7,"a,""b""",5,9', None),
+    "quoted_txid": ('7,"aa",5,9', None),
     "blank_line": ("", None),
     "trailing_comma": ("7,aa,5,9,", None),
     "short_row": ("7,aa,5", NONE_ARG),
@@ -136,6 +137,21 @@ def test_load_matches_oracle(tmp_path, monkeypatch, case, layout, chunk_chars):
     assert table.values.dtype == table.sizes.dtype == "int64"
     # beta is written chunk by chunk; each row must still be value / (8 * size)
     assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64, 1 << 20])
+def test_lone_cr_in_the_last_field_ends_the_record(tmp_path, monkeypatch, chunk_chars):
+    """csv.reader ends a record at a lone CR, so the text after a CR in a
+    row's last field is a record of its own, short of fields; the loader
+    must not take it as part of the field."""
+    text, case_row = build("leading_zeros", "multi")
+    text = text.replace("7,aa,0007,9\n", "7,aa,5,9\rx\n")
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: malformed row {case_row + 1}: invalid literal for int() with base 10: 'x'"
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64])

@@ -319,6 +319,18 @@ class TestScalarOracle:
         assert _fields(table) == _fields(reference)
         assert_matches_scalar_oracle(table, reference, num_levels, mode)
 
+    @pytest.mark.parametrize("txids", [["ab"], ["ab", "AB"]], ids=["one_id", "lower_and_upper"])
+    def test_rows_tied_in_beta_and_id_keep_file_order(self, tmp_path, txids):
+        """200 rows share beta 1 and one decoded id (``ab`` and ``AB`` both
+        decode to 0xab), so only their file position orders them; it must,
+        past the 16 rows an unstable sort still orders like a stable one."""
+        rows = [(*SAME_BETA[i % 4], txids[i % len(txids)]) for i in range(200)]
+        path = tmp_path / "d.csv"
+        write_dataset(path, [DatasetRow(7, t, s, v) for v, s, t in rows])
+        table, _ = load_dataset(path)
+        reference = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
+        assert_matches_scalar_oracle(table, reference, 3, MODE_UNIFORM)
+
     def test_equal_betas_take_one_log10_per_row_at_most(self, tmp_path, monkeypatch):
         """Every row has beta 1.5, so in uniform mode every row lies on every cut point."""
         rng = random.Random(5)
