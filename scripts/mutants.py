@@ -472,21 +472,31 @@ MUTANTS = (
         SEGMENTATION,
         "        below = lg[cuts[-1] :] < bound\n",
         "        below = lg[cuts[-1] :] <= bound\n",
-        (SEG,),
+        (f"{SEG}::TestCutSearch", f"{SEG}::TestScalarOracle::test_objects"),
     ),
     Mutant(
         "no-lg-screen",
         SEGMENTATION,
         "_LG_SCREEN = 1e-9\n",
         "_LG_SCREEN = 0\n",
-        (SEG,),
+        (f"{SEG}::TestCutSearch",),
+    ),
+    Mutant(
+        "numpy-lg-kept-near-the-cuts",
+        SEGMENTATION,
+        "    lg[near] = [math.log10(beta) for beta in ranked[near].tolist()]\n",
+        "",
+        (f"{SEG}::TestCutSearch",),
     ),
     Mutant(
         "ties-left-in-argsort-order",
         SEGMENTATION,
         "    _order_ties_by_id(table, order, ranked)\n",
         "",
-        (SEG,),
+        (
+            f"{SEG}::TestScalarOracle::test_objects",
+            f"{SEG}::TestScalarOracle::test_table_loaded_from_csv",
+        ),
     ),
     Mutant(
         "tie-key-without-the-row",
@@ -507,21 +517,21 @@ MUTANTS = (
         SEGMENTATION,
         "        beta_mean=float(np.add.accumulate(beta)[-1]) / n,\n",
         "        beta_mean=float(np.sum(beta)) / n,\n",
-        (SEG,),
+        (f"{SEG}::TestScalarOracle::test_objects",),
     ),
     Mutant(
         "value-min-as-float",
         SEGMENTATION,
         "        value_min=int(values.min()),\n",
         "        value_min=float(values.min()),\n",
-        (SEG,),
+        (f"{SEG}::TestLevelStats::test_totals_exact_past_int64",),
     ),
     Mutant(
         "no-int64-overflow-guard",
         SEGMENTATION,
         "    if column.dtype == object or len(column) * int(column.max()) >= 2**63:\n",
         "    if column.dtype == object:\n",
-        (SEG,),
+        (f"{SEG}::TestLevelStats::test_totals_exact_past_int64",),
     ),
 )
 

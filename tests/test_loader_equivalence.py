@@ -151,7 +151,8 @@ def test_lone_cr_in_the_last_field_ends_the_record(tmp_path, monkeypatch, chunk_
     monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
     with pytest.raises(ValueError) as info:
         load_dataset(path)
-    assert str(info.value) == f"{path}: malformed row {case_row + 1}: invalid literal for int() with base 10: 'x'"
+    reason = "invalid literal for int() with base 10: 'x'"
+    assert str(info.value) == f"{path}: malformed row {case_row + 1}: {reason}"
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
@@ -274,8 +275,10 @@ def test_columns_are_allocated_once(tmp_path, monkeypatch):
     never grows again. The txid offsets start from a one-row buffer holding
     their leading 0, which holds no chunk's rows and is not counted."""
     rng = random.Random(5)
-    rows = [f"{800_000 + i // 7},{rng.getrandbits(256):064x},{rng.randrange(100, 1000)},{rng.randrange(1000, 10000)}"
-            for i in range(3000)]
+    rows = [
+        f"{800_000 + i // 7},{rng.getrandbits(256):064x},{rng.randrange(100, 1000)},{rng.randrange(1000, 10000)}"
+        for i in range(3000)
+    ]
     path = tmp_path / "d.csv"
     path.write_text("\n".join([HEADER, *rows, ""]))
     monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", 4096)
