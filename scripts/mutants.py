@@ -513,6 +513,20 @@ MUTANTS = (
         (f"{TIED}[lower_and_upper]",),
     ),
     Mutant(
+        "hex-ids-with-spaces-sorted-as-text",
+        SEGMENTATION,
+        '_LOWER_HEX = b"0123456789abcdef"\n',
+        '_LOWER_HEX = b"0123456789abcdef "\n',
+        (f"{SEG}::TestScalarOracle::test_tied_ids_split_by_spaces_sort_by_their_bytes",),
+    ),
+    Mutant(
+        "hex-ids-of-mixed-length-sorted-as-text",
+        SEGMENTATION,
+        "if width == 0 or width % 2 or (lengths != width).any():",
+        "if width == 0 or width % 2:",
+        (f"{SEG}::TestScalarOracle::test_table_loaded_from_csv",),
+    ),
+    Mutant(
         "beta-mean-pairwise-sum",
         SEGMENTATION,
         "        beta_mean=float(np.add.accumulate(beta)[-1]) / n,\n",

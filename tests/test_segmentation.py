@@ -331,6 +331,17 @@ class TestScalarOracle:
         reference = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
         assert_matches_scalar_oracle(table, reference, 3, MODE_UNIFORM)
 
+    def test_tied_ids_split_by_spaces_sort_by_their_bytes(self, tmp_path):
+        """``ab cd ef`` decodes as hex to 0xabcdef; ``abcd e f``, split inside
+        a byte, is not hex and is kept as UTF-8, whose first byte 0x61 sorts
+        it first. As text the two of one length sort the other way round."""
+        rows = [(*SAME_BETA[i % 4], ("ab cd ef", "abcd e f")[i % 2]) for i in range(8)]
+        path = tmp_path / "d.csv"
+        write_dataset(path, [DatasetRow(7, t, s, v) for v, s, t in rows])
+        table, _ = load_dataset(path)
+        reference = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
+        assert_matches_scalar_oracle(table, reference, 3, MODE_UNIFORM)
+
     def test_equal_betas_take_one_log10_per_row_at_most(self, tmp_path, monkeypatch):
         """Every row has beta 1.5, so in uniform mode every row lies on every cut point."""
         rng = random.Random(5)
