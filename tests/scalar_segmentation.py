@@ -1,10 +1,13 @@
-"""Per-transaction reference versions of ``segment`` and ``summarize_level``.
+"""Per-transaction reference versions of ``segment`` and ``summarize_level``,
+and the full-scan cut search.
 
-These are the loops the columnar code in :mod:`hbsim.segmentation` replaced;
-tests require its results to equal theirs bit for bit.
+These are the code that :mod:`hbsim.segmentation` replaced; tests require its
+results to equal theirs bit for bit.
 """
 
 import math
+
+import numpy as np
 
 from hbsim.core import value_per_bit
 from hbsim.segmentation import MODE_UNIFORM, LevelSummary
@@ -57,3 +60,29 @@ def scalar_summarize_level(txs):
         size_mean_bytes=sum(sizes) / n,
         bits_total=8 * sum(sizes),
     )
+
+
+def scan_cuts(ranked, lg_max, lg_min, bounds):
+    """The rows at which each level starts, plus the row count, by a scan of
+    every row: for each bound, the first row at or after the previous start
+    whose lg falls below it.
+
+    The full-column search ``segmentation._cuts`` replaced. numpy's log10
+    screens every row, and a row within 1e-9 of some bound gets
+    ``math.log10``; ``lg_max`` and ``lg_min`` stand in for the first and
+    last rows.
+    """
+    n = len(ranked)
+    lg = np.log10(ranked)
+    near = np.zeros(n, dtype=bool)
+    for bound in bounds:
+        near |= np.abs(lg - bound) < 1e-9
+    near[[0, -1]] = False
+    lg[near] = [math.log10(beta) for beta in ranked[near].tolist()]
+    lg[0], lg[-1] = lg_max, lg_min
+    cuts = [0]
+    for bound in bounds:
+        below = lg[cuts[-1] :] < bound
+        cuts.append(cuts[-1] + int(below.argmax()) if below.any() else n)
+    cuts.append(n)
+    return tuple(cuts)

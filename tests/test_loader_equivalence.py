@@ -9,6 +9,7 @@ must name the case's row with the reason pinned here.
 """
 
 import collections
+import contextlib
 import csv
 import os
 import random
@@ -200,10 +201,10 @@ def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
     assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
 
 
-def long_row(i: int, size: str = "100", txid_tail: bytes = b"") -> bytes:
+def long_row(i: int, size: str = "100", txid_tail: bytes = b"", value: str = "") -> bytes:
     """A data row longer than 64 bytes, so that at chunk sizes 1, 7 and 64 a
     chunk (a read plus the rest of its line) holds exactly one row."""
-    return f"{1000 + i},{i:080x}".encode() + txid_tail + f",{size},{5 + i}".encode()
+    return f"{1000 + i},{i:080x}".encode() + txid_tail + f",{size},{value or 5 + i}".encode()
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
@@ -228,6 +229,67 @@ def test_error_order_across_read_ahead(tmp_path, monkeypatch, first, chunk_chars
     else:
         with pytest.raises(UnicodeDecodeError):
             load_dataset(path)
+
+
+@contextlib.contextmanager
+def dataset_at(tmp_path, data: bytes, source: str):
+    """A path to load ``data`` from once: the file ``d.csv``, or a pipe that
+    a writer thread fills. ``d.csv`` holds ``data`` either way."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    if source == "file":
+        yield path
+        return
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def write():
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield pipe
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+@pytest.mark.parametrize("then", ["plain", "invalid_utf8"])
+@pytest.mark.parametrize("value", ["-0", "1000000000000000000", "x"])
+def test_value_not_plain_after_a_plain_chunk(tmp_path, monkeypatch, value, then, chunk_chars, source):
+    """A chunk whose only field that is not plain is its value, read ahead
+    right after a plain chunk, loads or fails like the oracle: ``-0`` loads
+    as a zero value, 19 digits and ``x`` name their row. Invalid UTF-8 in
+    the chunk after it is reported only when no row before it is bad."""
+    rows = [long_row(i) for i in range(5)]
+    middle = [long_row(90, value=value), long_row(91, txid_tail=b"\xff") if then == "invalid_utf8" else long_row(91)]
+    data = b"\n".join([HEADER.encode(), *rows, *middle, *rows]) + b"\n"
+    monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
+    monkeypatch.setattr("hbsim.dataio._CHUNK_ROWS", 1)
+    reason = {
+        "1000000000000000000": "output_value and size must be below 2^53",
+        "x": "invalid literal for int() with base 10: 'x'",
+    }.get(value)
+    threads = threading.enumerate()
+    with dataset_at(tmp_path, data, source) as path:
+        if reason is not None:
+            with pytest.raises(ValueError) as info:
+                load_dataset(path)
+            assert str(info.value) == f"{path}: malformed row 7: {reason}"
+        elif then == "invalid_utf8":
+            with pytest.raises(UnicodeDecodeError):
+                load_dataset(path)
+        else:
+            table, summary = load_dataset(path)
+            expected = oracle(tmp_path / "d.csv")
+            assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
+            assert {key: getattr(summary, key) for key in expected} == expected
+            assert summary.dropped_zero_value == 1
+    assert threading.enumerate() == threads
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hbsim.segmentation import (
     txid_to_bytes,
 )
 from conftest import make_tx
-from scalar_segmentation import scalar_segment, scalar_summarize_level
+from scalar_segmentation import scalar_segment, scalar_summarize_level, scan_cuts
 
 
 def brute_force_level(lg_beta, boundaries):
@@ -154,6 +154,60 @@ class TestCutSearch:
                 first_below = next(i for i, b in enumerate(ranked.tolist()) if math.log10(b) < bound)
                 assert segmentation._cuts(ranked, *lg_ends, [bound]) == (0, first_below, 4)
             assert segmentation._cuts(ranked, *lg_ends, bounds) == (0, 1, 3, 3, 4)
+
+
+# lg offsets from a bound at which rows are placed: on it, an ulp either side,
+# inside the 1e-9 screen, and at and past the cut search's 1e-6 window
+WINDOW = 1e-6
+CUT_OFFSETS = (0.0, "ulp", "-ulp", 1e-9, -1e-9, WINDOW, -WINDOW, 2 * WINDOW, -2 * WINDOW)
+# lg ranges for bounds: the usual betas, and the ends of float64's range,
+# where 10**x overflows or turns subnormal
+BOUND_RANGES = (st.floats(-20, 20), st.floats(300, 308.3), st.floats(-324, -300))
+
+
+def rows_near(bound, offsets, beta_steps):
+    """Betas at lg offsets from ``bound``, and a float64 step either side of 10**bound."""
+    lgs = [bound + (math.ulp(bound) if o == "ulp" else -math.ulp(bound) if o == "-ulp" else o) for o in offsets]
+    with np.errstate(over="ignore", under="ignore"):
+        betas = np.power(10.0, lgs).tolist()
+        on = float(np.power(10.0, bound))
+        betas += [float(np.nextafter(on, np.inf if step > 0 else 0.0)) for step in beta_steps] + [on]
+    return betas
+
+
+class TestCutOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cuts_match_the_full_scan(self, data):
+        """The cut search gives the full scan's cuts on descending betas
+        placed around its bounds: on a bound, an ulp, 1e-9, the window's
+        width and twice it either side, several rows with one beta, a single
+        row, and bounds above and below every row."""
+        bounds = sorted(data.draw(st.lists(st.one_of(*BOUND_RANGES), min_size=1, max_size=4)), reverse=True)
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(bounds) - 1))
+            bounds.insert(at, bounds[at])  # equal bounds: every step is 0 when all betas are equal
+        betas = []
+        for bound in bounds:
+            if data.draw(st.booleans()):
+                offsets = data.draw(st.lists(st.sampled_from(CUT_OFFSETS), max_size=6))
+                steps = data.draw(st.lists(st.sampled_from([-1, 1]), max_size=2))
+                betas += rows_near(bound, offsets, steps) * data.draw(st.integers(1, 3))
+        betas += data.draw(st.lists(st.floats(1e-12, 1e15), max_size=5))
+        betas = [b for b in betas if 0.0 < b < math.inf]
+        if not betas:
+            betas = [data.draw(st.floats(1e-12, 1e15))]
+        if data.draw(st.booleans()):
+            betas = betas[:1]
+        ranked = np.sort(np.array(betas))[::-1].copy()
+        lg_max, lg_min = math.log10(ranked[0]), math.log10(ranked[-1])
+        extremes = data.draw(st.sampled_from(["none", "above", "below", "both"]))
+        if extremes in ("above", "both"):
+            bounds.insert(0, lg_max + data.draw(st.sampled_from([WINDOW / 2, 2 * WINDOW, 1.0])))
+        if extremes in ("below", "both"):
+            bounds.append(lg_min - data.draw(st.sampled_from([WINDOW / 2, 2 * WINDOW, 1.0])))
+        bounds.sort(reverse=True)  # segment's bounds never rise
+        assert segmentation._cuts(ranked, lg_max, lg_min, bounds) == scan_cuts(ranked, lg_max, lg_min, bounds)
 
 
 class TestLevelStats:
