@@ -122,12 +122,14 @@ def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarr
 
 
 def _plain_chunk(data: bytes, picks: list[int], width: int):
-    """Heights, sizes and values of the rows of a plain chunk, and the chunk
-    as bytes with the starts and ends of its kept rows' txids, or None if
-    the chunk is not plain.
+    """Heights and sizes of the rows of a plain chunk, the chunk as bytes and
+    as words (see :func:`_digit_column`), and the starts and ends of its
+    values and of its txids; or None if the chunk is not plain.
 
     Plain means no quote or NUL, every CR part of a CRLF, ``width`` fields
     on every line, and heights, sizes and values of 1-18 ASCII digits each.
+    The values are left to the caller, which must parse them with
+    :func:`_digit_column` before it takes the chunk as plain.
     ``data`` is _PAD filler bytes, then the chunk, which ends with a line end.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -155,14 +157,10 @@ def _plain_chunk(data: bytes, picks: list[int], width: int):
         return None
     line_starts = np.concatenate(([_PAD], delims[:-1, -1] + 1 + (kinds[:-1, -1] == _CR)))
     bounds = [(delims[:, c - 1] + 1 if c else line_starts, delims[:, c]) for c in picks]
-    heights, sizes, values = (_digit_column(words, *bounds[i]) for i in (0, 2, 3))
-    if heights is None or sizes is None or values is None:
+    heights, sizes = (_digit_column(words, *bounds[i]) for i in (0, 2))
+    if heights is None or sizes is None:
         return None
-    keep = values != 0
-    starts, ends = bounds[1]
-    if not keep.all():
-        starts, ends = starts[keep], ends[keep]
-    return heights, sizes, values, buf, starts, ends
+    return heights, sizes, buf, words, bounds[3], bounds[1]
 
 
 def _raise_row_error(path: Path, first_row: int, records: Iterable[tuple]) -> None:
@@ -276,11 +274,17 @@ def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str]
                     raise error
                 if plain is None:
                     break
-                heights, size, value, buf, starts, ends = plain
+                heights, size, buf, words, value_bounds, (starts, ends) = plain
+                # parsed here, on the thread that would otherwise wait for the parser
+                value = _digit_column(words, *value_bounds)
+                if value is None:
+                    break
                 if _out_of_range(size, value):
                     records = zip(heights.tolist(), itertools.repeat(""), size.tolist(), value.tolist())
                     _raise_row_error(path, first_row, records)
                 keep = value != 0
+                if not keep.all():
+                    starts, ends = starts[keep], ends[keep]
                 run_starts = np.append(True, heights[1:] != heights[:-1])
                 read_past = sum(end - _PAD for _, _, end in pending)
                 yield len(value), heights[run_starts].tolist(), size[keep], value[keep], buf, starts, ends, read_past
