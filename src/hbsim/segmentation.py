@@ -17,9 +17,9 @@ results are those of a per-transaction loop, bit for bit:
   of each cut point by either function. The log-normal fit and the histogram
   use numpy's;
 - ties in beta are ordered by id: for a loaded table whose tied txids are all
-  lowercase hex of one even, non-zero length, by one numpy sort of their text,
-  which orders them like their decoded bytes; any other tie set through the
-  decoded ids, row by row;
+  lowercase hex of one non-zero length, by one numpy sort of their text,
+  which orders them like their ids (decoded bytes, or UTF-8 bytes at an odd
+  length); any other tie set through the decoded ids, row by row;
 - ``beta_mean`` is a sequential left-to-right sum of the level's betas in
   descending-beta order, divided by the count;
 - integer totals (value, size, bits) are exact Python ints, whatever their
@@ -46,6 +46,13 @@ _LOWER_HEX = b"0123456789abcdef"
 # lg (|lg| < 324) is below 1e-13; a row further than this from a cut point is
 # on the same side of it by either function.
 _LG_SCREEN = 1e-9
+# The cut search reads only the rows within this margin, in lg, of a bound.
+# 10.0**x is within an ulp of exact (a relative error below 3e-16, or 1e-16 in
+# lg), and either log10 is within 1e-13 of the exact lg; both are far inside
+# the margin. So a row with beta at or above 10**(bound + _LG_WINDOW) is at or
+# above the bound by either function, and one below 10**(bound - _LG_WINDOW)
+# falls below it.
+_LG_WINDOW = 1e-6
 
 
 def txid_to_bytes(txid: str) -> bytes:
@@ -107,16 +114,17 @@ class TransactionTable(Sequence[ExtendedTransaction]):
         """The txid texts at ``rows`` as one row of bytes each, if they sort like the ids.
 
         That holds for a loaded table whose txids at ``rows`` (at least one)
-        are all lowercase hex of one even, non-zero length: each decodes to
-        its hex bytes, and equal-length lowercase hex text sorts like those
-        bytes. Otherwise None.
+        are all lowercase hex of one non-zero length: at an even length each
+        decodes to its hex bytes, at an odd length none decodes and each is
+        kept as its UTF-8 bytes, and equal-length lowercase hex text sorts
+        like either. Otherwise None.
         """
         if self._objects is not None:
             return None
         starts = self._offsets[rows]
         lengths = self._offsets[rows + 1] - starts
         width = int(lengths[0])
-        if width == 0 or width % 2 or (lengths != width).any():
+        if width == 0 or (lengths != width).any():
             return None
         text = sliding_window_view(np.frombuffer(self._txids, dtype=np.uint8), width)[starts]
         if text.tobytes().translate(None, _LOWER_HEX):
@@ -282,26 +290,44 @@ def _big_endian_bytes(ints: np.ndarray) -> np.ndarray:
 
 
 def _cuts(ranked: np.ndarray, lg_max: float, lg_min: float, bounds: Sequence[float]) -> tuple[int, ...]:
-    """The row of ``ranked`` at which each level starts, plus the row count.
+    """The row of ``ranked`` (descending) at which each level starts, plus the row count.
 
     After each bound a level starts at the first row, at or after the previous
-    level's start, whose ``math.log10`` falls below the bound. numpy's log10
-    screens the rows: only a row within ``_LG_SCREEN`` of some bound gets
-    ``math.log10``, once. ``lg_max`` and ``lg_min`` are ``math.log10`` of the
-    first and last rows and stand in for theirs.
+    level's start, whose ``math.log10`` falls below the bound. Only the rows of
+    each bound's window can be that row: one ``searchsorted`` finds the rows
+    with beta at or above 10**(bound + ``_LG_WINDOW``), which lie at or above
+    the bound, and those from which on beta is below 10**(bound -
+    ``_LG_WINDOW``), which fall below it. Only the rows of the windows get an
+    lg: numpy's log10 screens them, and a row within ``_LG_SCREEN`` of some
+    bound gets ``math.log10``, once. ``lg_max`` and ``lg_min`` are
+    ``math.log10`` of the first and last rows and stand in for theirs.
     """
     n = len(ranked)
-    lg = np.log10(ranked)
-    near = np.zeros(n, dtype=bool)
-    for bound in bounds:
-        near |= np.abs(lg - bound) < _LG_SCREEN
-    near[[0, -1]] = False
-    lg[near] = [math.log10(beta) for beta in ranked[near].tolist()]
+    # near the ends of float64's range 10.0**x overflows or turns subnormal,
+    # which loses precision; the window of such a bound holds every row
+    edges = [
+        (10.0 ** (bound + _LG_WINDOW), 10.0 ** (bound - _LG_WINDOW)) if -307 < bound < 308 else (math.inf, 0.0)
+        for bound in bounds
+    ]
+    # rows [start, end) of each window: the rows before it have beta at or
+    # above its upper edge, the rows from its end on beta below its lower edge
+    windows = (n - np.searchsorted(ranked[::-1], edges)).tolist()
+    lg = np.empty(n)  # written, and read, only inside the windows
     lg[0], lg[-1] = lg_max, lg_min
+    done = 1  # the rows below this one that lie in a window have their lg
+    for start, end in sorted(windows):
+        start, end = max(start, done), min(end, n - 1)
+        if start < end:
+            part = np.log10(ranked[start:end])
+            near = (np.abs(np.subtract.outer(part, bounds)) < _LG_SCREEN).any(axis=1)
+            part[near] = [math.log10(beta) for beta in ranked[start:end][near].tolist()]
+            lg[start:end] = part
+            done = end
     cuts = [0]
-    for bound in bounds:
-        below = lg[cuts[-1] :] < bound
-        cuts.append(cuts[-1] + int(below.argmax()) if below.any() else n)
+    for bound, (start, end) in zip(bounds, windows):
+        start = max(start, cuts[-1])
+        below = lg[start:end] < bound
+        cuts.append(start + int(below.argmax()) if below.any() else max(start, end))
     cuts.append(n)
     return tuple(cuts)
 

@@ -396,6 +396,19 @@ class TestScalarOracle:
         reference = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
         assert_matches_scalar_oracle(table, reference, 3, MODE_UNIFORM)
 
+    def test_tied_odd_length_hex_ids_sort_like_their_text(self, tmp_path):
+        """Lowercase hex ids of an odd length do not decode as hex and are
+        kept as UTF-8, which sorts like their text, so the numpy sort of
+        their text orders the tie runs."""
+        txids = ["abc", "ab0", "0ff", "f0a", "a0b", "fff", "000"]
+        rows = [(*SAME_BETA[i % 4], txids[i % len(txids)]) for i in range(60)]
+        path = tmp_path / "d.csv"
+        write_dataset(path, [DatasetRow(7, t, s, v) for v, s, t in rows])
+        table, _ = load_dataset(path)
+        assert table.hex_ids(np.arange(len(table))) is not None
+        reference = [ExtendedTransaction(id=txid_to_bytes(t), value=v, size_bytes=s) for v, s, t in rows]
+        assert_matches_scalar_oracle(table, reference, 3, MODE_UNIFORM)
+
     def test_equal_betas_take_one_log10_per_row_at_most(self, tmp_path, monkeypatch):
         """Every row has beta 1.5, so in uniform mode every row lies on every cut point."""
         rng = random.Random(5)
