@@ -55,6 +55,7 @@ LOADER = "tests/test_loader_equivalence.py"
 ORACLE = f"{LOADER}::test_load_matches_oracle"
 SEG = "tests/test_segmentation.py"
 TIED = f"{SEG}::TestScalarOracle::test_rows_tied_in_beta_and_id_keep_file_order"
+CUT_ORACLE = f"{SEG}::TestCutOracle::test_cuts_match_the_full_scan"
 CHAINSTATE = "src/hbsim/simulator/chainstate.py"
 CONFIG = "src/hbsim/simulator/config.py"
 ENGINE = "src/hbsim/simulator/engine.py"
@@ -461,6 +462,20 @@ MUTANTS = (
         (ORACLE,),
     ),
     Mutant(
+        "zero-value-txids-kept",
+        DATAIO,
+        "                if not keep.all():\n                    starts, ends = starts[keep], ends[keep]\n",
+        "",
+        (ORACLE,),
+    ),
+    Mutant(
+        "value-column-not-plain-taken-as-plain",
+        DATAIO,
+        "                if value is None:\n                    break\n",
+        "",
+        (f"{LOADER}::test_value_not_plain_after_a_plain_chunk",),
+    ),
+    Mutant(
         "value-at-2-53-accepted",
         DATAIO,
         " | (values < 0) | (values >= MAX_EXACT_INT)",
@@ -470,8 +485,8 @@ MUTANTS = (
     Mutant(
         "cut-at-or-below-the-bound",
         SEGMENTATION,
-        "        below = lg[cuts[-1] :] < bound\n",
-        "        below = lg[cuts[-1] :] <= bound\n",
+        "        below = lg[start:end] < bound\n",
+        "        below = lg[start:end] <= bound\n",
         (f"{SEG}::TestCutSearch", f"{SEG}::TestScalarOracle::test_objects"),
     ),
     Mutant(
@@ -484,9 +499,23 @@ MUTANTS = (
     Mutant(
         "numpy-lg-kept-near-the-cuts",
         SEGMENTATION,
-        "    lg[near] = [math.log10(beta) for beta in ranked[near].tolist()]\n",
+        "            part[near] = [math.log10(beta) for beta in ranked[start:end][near].tolist()]\n",
         "",
         (f"{SEG}::TestCutSearch",),
+    ),
+    Mutant(
+        "cut-window-of-zero-width",
+        SEGMENTATION,
+        "_LG_WINDOW = 1e-6\n",
+        "_LG_WINDOW = 0\n",
+        (CUT_ORACLE,),
+    ),
+    Mutant(
+        "cut-window-upper-edge-a-row-late",
+        SEGMENTATION,
+        "        start = max(start, cuts[-1])\n",
+        "        start = max(start + 1, cuts[-1])\n",
+        (CUT_ORACLE,),
     ),
     Mutant(
         "ties-left-in-argsort-order",
@@ -522,8 +551,8 @@ MUTANTS = (
     Mutant(
         "hex-ids-of-mixed-length-sorted-as-text",
         SEGMENTATION,
-        "if width == 0 or width % 2 or (lengths != width).any():",
-        "if width == 0 or width % 2:",
+        "if width == 0 or (lengths != width).any():",
+        "if width == 0:",
         (f"{SEG}::TestScalarOracle::test_table_loaded_from_csv",),
     ),
     Mutant(
