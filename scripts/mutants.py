@@ -518,6 +518,20 @@ MUTANTS = (
         (CUT_ORACLE,),
     ),
     Mutant(
+        "cut-window-end-a-row-late",
+        SEGMENTATION,
+        "else max(start, end))\n",
+        "else max(start, end + 1))\n",
+        (CUT_ORACLE,),
+    ),
+    Mutant(
+        "cut-window-edges-from-subnormal-powers",
+        SEGMENTATION,
+        "if -307 < bound < 308 else (math.inf, 0.0)",
+        "if bound < 308 else (math.inf, 0.0)",
+        (CUT_ORACLE,),
+    ),
+    Mutant(
         "ties-left-in-argsort-order",
         SEGMENTATION,
         "    _order_ties_by_id(table, order, ranked)\n",

@@ -11,11 +11,13 @@ results are those of a per-transaction loop, bit for bit:
 
 - beta is ``value / (8 * size)``, one correctly rounded division;
 - the lg values that place transactions and set the cut points come from
-  ``math.log10``. numpy's ``log10`` can differ from it in the last bit, so it
-  only screens rows: a row whose numpy lg lies within ``_LG_SCREEN`` (1e-9)
-  of a cut point gets ``math.log10``, and every other row is on the same side
-  of each cut point by either function. The log-normal fit and the histogram
-  use numpy's;
+  ``math.log10``. Only rows with beta within ``_LG_WINDOW`` (1e-6) of a cut
+  point, in lg, get an lg at all; every other row is on a side of it that
+  its beta shows. numpy's ``log10`` can differ from ``math.log10`` in the
+  last bit, so it only screens those rows: a row whose numpy lg lies within
+  ``_LG_SCREEN`` (1e-9) of a cut point gets ``math.log10``, and every other
+  row is on the same side of each cut point by either function. The
+  log-normal fit and the histogram use numpy's;
 - ties in beta are ordered by id: for a loaded table whose tied txids are all
   lowercase hex of one non-zero length, by one numpy sort of their text,
   which orders them like their ids (decoded bytes, or UTF-8 bytes at an odd
