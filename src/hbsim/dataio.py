@@ -233,7 +233,8 @@ def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str]
     :func:`_plain_chunk`) are parsed with numpy, all but their values on one
     parser thread, which this generator starts and joins before it returns
     or raises, and their values here; it reads the next chunk while that
-    thread parses one and the caller writes the one before. From the first other chunk on, or from the start if
+    thread parses one and the caller writes the one before. From the first
+    other chunk on, or from the start if
     ``lines`` holds the file's text lines, ``csv.reader`` parses the rest of
     the file, starting with the chunk already read ahead; it skips blank
     lines and gives a short record None for its missing fields, as

@@ -171,31 +171,43 @@ def test_multibyte_txid_across_chunk_ends(tmp_path, monkeypatch, chunk_chars):
     assert {key: getattr(summary, key) for key in expected} == expected
 
 
+@contextlib.contextmanager
+def dataset_at(tmp_path, data: bytes, source: str):
+    """A path to load ``data`` from once: the file ``d.csv``, or a pipe that
+    a writer thread fills. ``d.csv`` holds ``data`` either way."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    if source == "file":
+        yield path
+        return
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def write():
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield pipe
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 7, 64, 1 << 20])
 @pytest.mark.parametrize("case", ["leading_space", "crlf"])
 def test_pipe_loads_like_the_file(tmp_path, monkeypatch, case, chunk_chars):
     """A pipe has no size or position to size the columns from; they grow as they fill."""
     text, _ = build(case, "multi")
     text += "\n".join(plain_rows(random.Random(case), 2000, 5000)) + "\n"
-    path, pipe = tmp_path / "d.csv", tmp_path / "pipe"
-    path.write_bytes(text.encode("utf-8"))
-    os.mkfifo(pipe)
     monkeypatch.setattr("hbsim.dataio._CHUNK_BYTES", chunk_chars)
-
-    def write():
-        with open(pipe, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-
     threads = threading.enumerate()
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    try:
+    with dataset_at(tmp_path, text.encode("utf-8"), "pipe") as pipe:
         table, summary = load_dataset(pipe)
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
     assert threading.enumerate() == threads
-    expected = oracle(path)
+    expected = oracle(tmp_path / "d.csv")
     assert [(t.id, t.value, t.size_bytes) for t in table] == expected.pop("txs")
     assert {key: getattr(summary, key) for key in expected} == expected
     assert table.beta.tolist() == [t.value / (8 * t.size_bytes) for t in table]
@@ -229,31 +241,6 @@ def test_error_order_across_read_ahead(tmp_path, monkeypatch, first, chunk_chars
     else:
         with pytest.raises(UnicodeDecodeError):
             load_dataset(path)
-
-
-@contextlib.contextmanager
-def dataset_at(tmp_path, data: bytes, source: str):
-    """A path to load ``data`` from once: the file ``d.csv``, or a pipe that
-    a writer thread fills. ``d.csv`` holds ``data`` either way."""
-    path = tmp_path / "d.csv"
-    path.write_bytes(data)
-    if source == "file":
-        yield path
-        return
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-
-    def write():
-        with open(pipe, "wb") as fh:
-            fh.write(data)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    try:
-        yield pipe
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
