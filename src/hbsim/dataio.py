@@ -230,17 +230,16 @@ def _chunks(fh: io.TextIOWrapper, lines: Iterator[str] | None, header: list[str]
     Each chunk is (rows read, block heights, then the size and value of its
     kept rows, a byte array with the starts and ends of their UTF-8 txids,
     and the bytes read from ``fh.buffer`` past the chunk). Plain chunks (see
-    :func:`_plain_chunk`) are parsed with numpy, all but their values on one
+    :func:`_plain_chunk`) are parsed with numpy: all but their values on one
     parser thread, which this generator starts and joins before it returns
-    or raises, and their values here; it reads the next chunk while that
+    or raises, and their values here. It reads the next chunk while that
     thread parses one and the caller writes the one before. From the first
-    other chunk on, or from the start if
-    ``lines`` holds the file's text lines, ``csv.reader`` parses the rest of
-    the file, starting with the chunk already read ahead; it skips blank
-    lines and gives a short record None for its missing fields, as
-    ``csv.DictReader`` does. Either way a rejected record raises the error
-    of :func:`_row_error`, and invalid UTF-8 raises UnicodeDecodeError, the
-    first in the file first.
+    other chunk on, or from the start if ``lines`` holds the file's text
+    lines, ``csv.reader`` parses the rest of the file, starting with the
+    chunk already read ahead; it skips blank lines and gives a short record
+    None for its missing fields, as ``csv.DictReader`` does. Either way a
+    rejected record raises the error of :func:`_row_error`, and invalid
+    UTF-8 raises UnicodeDecodeError, the first in the file first.
     """
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     picks = [index[c] for c in MANDATORY_COLUMNS]

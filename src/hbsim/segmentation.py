@@ -295,14 +295,16 @@ def _cuts(ranked: np.ndarray, lg_max: float, lg_min: float, bounds: Sequence[flo
     """The row of ``ranked`` (descending) at which each level starts, plus the row count.
 
     After each bound a level starts at the first row, at or after the previous
-    level's start, whose ``math.log10`` falls below the bound. Only the rows of
-    each bound's window can be that row: one ``searchsorted`` finds the rows
-    with beta at or above 10**(bound + ``_LG_WINDOW``), which lie at or above
-    the bound, and those from which on beta is below 10**(bound -
-    ``_LG_WINDOW``), which fall below it. Only the rows of the windows get an
-    lg: numpy's log10 screens them, and a row within ``_LG_SCREEN`` of some
-    bound gets ``math.log10``, once. ``lg_max`` and ``lg_min`` are
-    ``math.log10`` of the first and last rows and stand in for theirs.
+    level's start, whose ``math.log10`` falls below the bound. Only a row of
+    the bound's window can be that row. One ``searchsorted`` finds each
+    window's ends: the rows before it have beta at or above 10**(bound +
+    ``_LG_WINDOW``) and lie at or above the bound, and the rows from its end
+    on have beta below 10**(bound - ``_LG_WINDOW``) and fall below it. That
+    holds because ``10.0**x`` and both log10s err by under 1e-13 in lg, far
+    inside the 1e-6 margin. Only the rows of the windows get an lg: numpy's
+    log10 screens them, and a row within ``_LG_SCREEN`` of some bound gets
+    ``math.log10``, once. ``lg_max`` and ``lg_min`` are ``math.log10`` of the
+    first and last rows and stand in for theirs.
     """
     n = len(ranked)
     # near the ends of float64's range 10.0**x overflows or turns subnormal,
@@ -311,8 +313,6 @@ def _cuts(ranked: np.ndarray, lg_max: float, lg_min: float, bounds: Sequence[flo
         (10.0 ** (bound + _LG_WINDOW), 10.0 ** (bound - _LG_WINDOW)) if -307 < bound < 308 else (math.inf, 0.0)
         for bound in bounds
     ]
-    # rows [start, end) of each window: the rows before it have beta at or
-    # above its upper edge, the rows from its end on beta below its lower edge
     windows = (n - np.searchsorted(ranked[::-1], edges)).tolist()
     lg = np.empty(n)  # written, and read, only inside the windows
     lg[0], lg[-1] = lg_max, lg_min
