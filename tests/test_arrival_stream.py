@@ -86,6 +86,9 @@ CASES = {
         workload=WorkloadSpec(rate=0.1, lg_beta_mu=3.0, lg_beta_sigma=1.0, size_mode="empirical",
                               size_params=(180, 250, 400, 900)),
     ),
+    # an odd bootstrap sample leaves the second normal of its last pair for
+    # the stream's first arrival
+    "flat-odd-bootstrap": config("flat", bootstrap_txs=4_001),
     "hybrid": config("hybrid"),
     "tree": config("tree", miners=equal_miners(48)),
     "concurrent": config("concurrent", duration=600.0 * 20, chain_target_times=(429.0, 124.0, 44.5)),
@@ -117,6 +120,22 @@ def test_run_matches_reference(case):
         assert log[-1]["skipped"] > log[-1]["generated"] // 10
     if "per-subblock" in case:
         assert any(a["generated"] == b["generated"] for a, b in zip(log, log[1:])), "some gaps draw nothing"
+
+
+def test_only_the_odd_bootstrap_starts_the_stream_with_a_carried_normal():
+    stream_cls = REFERENCE_RUNS["flat"][0]
+    carried = {}
+
+    class Probe(stream_cls):
+        def _arrival_stream(self, preseed):
+            # the generator's body runs at the first next, from this state
+            carried[self.cfg.bootstrap_txs] = self.rng.gauss_next
+            return super()._arrival_stream(preseed)
+
+    for case in ("flat-fixed", "flat-odd-bootstrap"):
+        Probe(CASES[case])
+    assert carried[4_000] is None
+    assert carried[4_001] is not None
 
 
 @pytest.mark.parametrize("genesis_outputs", [512, 3])

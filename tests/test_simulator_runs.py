@@ -8,6 +8,7 @@ from hbsim.core import SATOSHI_PER_BTC
 from hbsim.dataio import WorkloadSpec
 from hbsim.economics import homotopy_lambda
 from hbsim.segmentation import LevelStats, LevelSummary
+from hbsim.sharding import fold_global_nonce
 from hbsim.economics import compute_c_eta_flat
 from hbsim.simulator import SimConfig, SubBlock, engine, equal_miners, simulate
 
@@ -215,6 +216,42 @@ class TestTreeRun:
             miners=equal_miners(16),
         )
         assert simulate(cfg).canonical_json() == simulate(cfg).canonical_json()
+
+    def test_root_nonce_is_the_fold_of_the_shards_local_randomness(self, monkeypatch):
+        """Every round's root header carries ``fold_global_nonce`` of the local
+        randomness each shard drew that round, and the next round places
+        miners and transactions under it."""
+        drawn, local, roots, used = [], {}, {}, {}
+        step, mine_shard, round_ = engine.nonce_step, engine._TreeRun._mine_shard, engine._TreeRun._round
+
+        def recorded_step(local_random, *kids):
+            drawn.append(local_random)
+            return step(local_random, *kids)
+
+        def recorded_mine_shard(self, c, chosen, alpha, nonce, t0, round_index):
+            mine_shard(self, c, chosen, alpha, nonce, t0, round_index)
+            [local_random] = drawn
+            drawn.clear()
+            local.setdefault(round_index, {})[self.coords[c]] = local_random
+
+        def recorded_round(self, round_index, nonce, t0):
+            used[round_index] = nonce
+            stalled = round_(self, round_index, nonce, t0)
+            assert stalled is None
+            roots[round_index] = self.last[0].carried.nonce
+            return stalled
+
+        monkeypatch.setattr(engine, "nonce_step", recorded_step)
+        monkeypatch.setattr(engine._TreeRun, "_mine_shard", recorded_mine_shard)
+        monkeypatch.setattr(engine._TreeRun, "_round", recorded_round)
+        report = simulate(SimConfig(mode="tree", num_levels=3, duration=600.0 * 12, seed=3, workload=WORKLOAD,
+                                    retarget_window=4, miners=equal_miners(48)))
+        assert len(roots) == report.tree["rounds"] >= 8
+        for round_index, root_nonce in roots.items():
+            assert len(local[round_index]) == 7
+            assert root_nonce == fold_global_nonce(local[round_index], 3).value
+            if round_index + 1 in used:
+                assert used[round_index + 1] == root_nonce
 
     def test_zero_miner_shard_stalls(self):
         cfg = SimConfig(

@@ -229,6 +229,23 @@ class TestShardedFill:
         assert len(rest) == len({id(e) for e in rest})
         assert {id(e) for e in rest} == {id(e) for e in entries} - taken
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
+        FILL_ENTRIES,
+        st.integers(0, 1500),
+    )
+    def test_rest_stays_in_pool_order(self, level, nonce, rows, cap):
+        """``rest`` comes back in pool order, the unwalked tail after every
+        entry walked: ``_Run._evict`` cuts it without sorting."""
+        entries = [
+            make_record(1, size, rate * 8 * size, i, input_ref=ref)
+            for i, (rate, size, ref) in enumerate(rows)
+        ]
+        _, rest = take_by_fee_rate(entries, cap, level, nonce)
+        assert rest == sorted(rest, key=engine._pool_order)
+
 
 class TestMineLevel:
     """``_Run._mine_level`` is the one fill, mine and accept step of flat and hybrid mode."""
@@ -368,6 +385,9 @@ def test_evict_releases_the_evicted_inputs():
     reserved = run.state._reserved
     assert {record.input_ref for record in pool} <= reserved
     ranked = sorted(pool, key=lambda r: (-r.fee_sat / r.size_bits, r.seq))
+    # the pool as every caller hands it over: the rest of a fill, in pool order
+    [nothing], pool = take_by_fee_rate(pool, 0)
+    assert nothing == []
     evicted_before = run.txs_evicted
     run._evict(pool, 4)
     assert pool == ranked[:4]
