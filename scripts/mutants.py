@@ -265,6 +265,41 @@ MUTANTS = (
         (f"{BY_HAND}[3]", f"{STREAM}::test_run_matches_reference[flat-empirical-starved]"),
     ),
     Mutant(
+        "stream-drops-the-kept-normal",
+        ENGINE,
+        "            rng.gauss_next = z_next\n",
+        "",
+        (BY_HAND, f"{STREAM}::test_run_matches_reference[flat-fixed]"),
+    ),
+    Mutant(
+        "box-muller-log-of-the-word",
+        ENGINE,
+        "g2rad = sqrt(-2.0 * log(1.0 - random_()))",
+        "g2rad = sqrt(-2.0 * log(random_()))",
+        (f"{STREAM}::test_run_matches_reference[flat-fixed]", "tests/test_golden.py::test_canonical_json_digest[flat]"),
+    ),
+    Mutant(
+        "box-muller-pair-swapped",
+        ENGINE,
+        "                    z = cos(x2pi) * g2rad\n                    z_next = sin(x2pi) * g2rad\n",
+        "                    z = sin(x2pi) * g2rad\n                    z_next = cos(x2pi) * g2rad\n",
+        (f"{STREAM}::test_run_matches_reference[flat-fixed]", "tests/test_golden.py::test_canonical_json_digest[flat]"),
+    ),
+    Mutant(
+        "stream-normal-reset-each-send",
+        ENGINE,
+        "            z_next = rng.gauss_next\n",
+        "            z_next = None\n",
+        (BY_HAND, f"{STREAM}::test_run_matches_reference[flat-odd-bootstrap]"),
+    ),
+    Mutant(
+        "fill-rest-puts-the-overflow-after-the-unwalked",
+        ENGINE,
+        "                rest.append(entry)\n                rest += walk\n",
+        "                rest += walk\n                rest.append(entry)\n",
+        (f"{UNITS}::TestShardedFill::test_rest_stays_in_pool_order",),
+    ),
+    Mutant(
         "digest-drops-child-refs",
         CHAINSTATE,
         "            parts += self.child_refs\n",

@@ -153,8 +153,9 @@ def take_by_fee_rate(
     shard. All shards fill in one walk that hashes each entry's shard under
     ``nonce`` only on reaching it. A shard stops at its own first overflow;
     once all have stopped, the entries not yet walked join ``rest`` unhashed.
-    Level 0 is one shard and hashes nothing: its fill is a prefix of the
-    sorted pool.
+    ``rest`` keeps the sorted order: the entries walked and not chosen, then
+    those not walked. Level 0 is one shard and hashes nothing: its fill is a
+    prefix of the sorted pool.
     """
     entries.sort(key=_pool_order)
     walk = iter(entries)
@@ -353,21 +354,28 @@ class _Run:
         arrival time. Each ``send(until)`` then draws every arrival due
         before ``until``, each entry stamped with its arrival time.
 
-        One arrival draws, in this order: its value and size
-        (``draw_value_size``), whether its level is overridden and to which
-        level, its fee overpay, its input (``ChainState.pick_at_least``,
-        which reserves it) and, if an input funds it, its 256-bit id; then
-        the time to the next arrival. An arrival no input funds is counted as
-        skipped. What does not change during a run is bound here once; the
-        fee rates are read on every send, since a retarget replaces them.
-        ``_next_arrival``, ``seq``, ``txs_generated`` and ``txs_skipped`` are
-        written back once per send.
+        One arrival draws, in this order: its lg beta and size, whether its
+        level is overridden and to which level, its fee overpay, its input
+        (``ChainState.pick_at_least``, which reserves it) and, if an input
+        funds it, its 256-bit id; then the time to the next arrival. An
+        arrival no input funds is counted as skipped. The lg beta, size and
+        value are ``dataio.draw_value_size`` written out, word for word: the
+        normal is ``rng.gauss``'s pair of normals from two words, the second
+        kept for the next arrival. ``tests/reference_arrivals.py`` draws
+        through ``draw_value_size`` and must leave the same generator state.
+        What does not change during a run is bound here once; the fee rates
+        are read on every send, since a retarget replaces them.
+        ``_next_arrival``, ``seq``, ``txs_generated``, ``txs_skipped`` and
+        the kept normal (``rng.gauss_next``) are written back once per send.
         """
         cfg = self.cfg
         spec = cfg.workload
         rng = self.rng
         random_, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
-        draw, pick = draw_value_size, self.state.pick_at_least
+        lognormvariate, pick = rng.lognormvariate, self.state.pick_at_least
+        mu, sigma = spec.lg_beta_mu, spec.lg_beta_sigma
+        size_mode, size_params = spec.size_mode, spec.size_params
+        fixed_size = int(size_params[0]) if size_mode == "fixed" else None
         pools = self.mempool
         boundaries = self.boundaries
         num_levels = cfg.num_levels
@@ -376,6 +384,7 @@ class _Run:
         rate = spec.rate
         overpay_span = cfg.fee_overpay_max - 1.0
         log, log10, ceil = math.log, math.log10, math.ceil
+        sqrt, cos, sin, tau = math.sqrt, math.cos, math.sin, math.tau
         forever = itertools.repeat(None)
         counts, timed, until = range(preseed), False, math.inf
         while True:
@@ -383,10 +392,26 @@ class _Run:
             t = self._next_arrival
             seq = self.seq
             generated = skipped = 0
+            z_next = rng.gauss_next
             for _ in counts:
                 if t >= until:
                     break
-                value, size = draw(spec, rng)
+                # rng.gauss(mu, sigma), written out
+                z = z_next
+                if z is None:
+                    x2pi = random_() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                    z = cos(x2pi) * g2rad
+                    z_next = sin(x2pi) * g2rad
+                else:
+                    z_next = None
+                if fixed_size is not None:
+                    size = fixed_size
+                elif size_mode == "lognormal":
+                    size = max(1, round(lognormvariate(*size_params)))
+                else:
+                    size = int(size_params[randrange(len(size_params))])
+                value = max(1, round(10.0 ** (mu + z * sigma) * 8 * size))
                 overridden = override > 0.0 and random_() < override
                 if overridden:
                     level = randrange(num_levels)
@@ -408,6 +433,7 @@ class _Run:
                 if timed:
                     # rng.expovariate(rate), written out
                     t += -log(1.0 - random_()) / rate
+            rng.gauss_next = z_next
             self._next_arrival = t
             self.seq = seq
             self.txs_generated += generated
@@ -420,10 +446,13 @@ class _Run:
         self._arrivals.send(until)
 
     def _evict(self, pool: list[ArrivalTx], limit: int) -> None:
-        """Evict the lowest fee rates beyond ``limit`` entries, in place, and release their inputs."""
+        """Evict the lowest fee rates beyond ``limit`` entries, in place, and release their inputs.
+
+        ``pool`` must be in pool order, as the ``rest`` of ``take_by_fee_rate``
+        is: every caller hands that over, so it is cut without a sort.
+        """
         if len(pool) <= limit:
             return
-        pool.sort(key=_pool_order)
         self.state.release([tx.input_ref for tx in pool[limit:]])
         self.txs_evicted += len(pool) - limit
         del pool[limit:]
@@ -477,7 +506,7 @@ class _Run:
         level = block.level
         window = self.windows[level]
         for tx in block.txs:
-            window.beta_sum += tx.value / tx.size_bits
+            window.beta_sum += tx.value / (8 * tx.size_bytes)
         window.tx_count += len(block.txs)
         self.txs_confirmed += len(block.txs)
         window.block_bits += block.size_bits
@@ -808,7 +837,7 @@ class _TreeRun(_ShardedRun):
             beta_sums = [a + b for a, b in zip(left.beta_level_sums, right.beta_level_sums)]
             bits_sums = [a + b for a, b in zip(left.bits_level_sums, right.bits_level_sums)]
         dt = sample_mining_time(self.rng, 2**level * self.eta_applied[level], bits, alpha)
-        betas = [tx.value / tx.size_bits for tx in chosen]
+        betas = [tx.value / (8 * tx.size_bytes) for tx in chosen]
         block_beta = sum(betas) / len(betas) if betas else 0.0
         value_sample = block_beta * bits
         self.raw_value_samples[c].append(value_sample)
