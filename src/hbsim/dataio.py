@@ -556,7 +556,12 @@ def draw_value_size(spec: WorkloadSpec, rng: random.Random) -> tuple[int, int]:
     """Draw one transaction's (output value, size in bytes), in that draw order.
 
     Value per bit is 10^Normal(mu, sigma), drawn first; the value is that
-    beta times the bit size, rounded to at least one satoshi.
+    beta times the bit size, rounded to at least one satoshi. It draws the
+    workload generator's values and the simulator's bootstrap sample. The
+    simulator's arrival stream (``engine._Run._arrival_stream``) holds a
+    written-out copy of it and of ``rng.gauss``; ``tests/test_arrival_stream.py``
+    holds the two equal, word for word, against ``tests/reference_arrivals.py``,
+    which draws through this function.
     """
     beta = 10.0 ** rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)
     if spec.size_mode == "fixed":

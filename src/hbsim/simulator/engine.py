@@ -105,7 +105,8 @@ class ArrivalTx:
     It has the attributes of :class:`~hbsim.core.ExtendedTransaction` that
     the engine, ``validate_block``, ``apply_block``, the shard helpers and
     ``SubBlock.digest`` read, but it runs none of that type's checks: they
-    hold by construction. ``draw_value_size`` floors the value at 1 satoshi,
+    hold by construction. The value is floored at 1 satoshi (in
+    ``draw_value_size`` and in the arrival stream's copy of it),
     ``WorkloadSpec`` admits no size below 1 byte, every arrival spends the
     one input ``ChainState.pick_at_least`` found, and ``lam`` is 1 and
     ``eta`` unset. ``validate_block`` still checks every block these records
