@@ -559,8 +559,8 @@ def draw_value_size(spec: WorkloadSpec, rng: random.Random) -> tuple[int, int]:
     beta times the bit size, rounded to at least one satoshi. It draws the
     workload generator's values and the simulator's bootstrap sample. The
     simulator's arrival stream (``engine._Run._arrival_stream``) holds a
-    written-out copy of it and of ``rng.gauss``; ``tests/test_arrival_stream.py``
-    holds the two equal, word for word, against ``tests/reference_arrivals.py``,
+    written-out copy of it and of ``rng.gauss``: ``tests/test_arrival_stream.py``
+    checks that copy word for word against ``tests/reference_arrivals.py``,
     which draws through this function.
     """
     beta = 10.0 ** rng.gauss(spec.lg_beta_mu, spec.lg_beta_sigma)

@@ -362,8 +362,8 @@ class _Run:
         arrival no input funds is counted as skipped. The lg beta, size and
         value are ``dataio.draw_value_size`` written out, word for word: the
         normal is ``rng.gauss``'s pair of normals from two words, the second
-        kept for the next arrival. ``tests/reference_arrivals.py`` draws
-        through ``draw_value_size`` and must leave the same generator state.
+        kept for the next arrival. ``tests/test_arrival_stream.py`` checks
+        it against ``tests/reference_arrivals.py``, which calls the function.
         What does not change during a run is bound here once; the fee rates
         are read on every send, since a retarget replaces them.
         ``_next_arrival``, ``seq``, ``txs_generated``, ``txs_skipped`` and
